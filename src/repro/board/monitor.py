@@ -17,7 +17,7 @@ import numpy as np
 from repro.board import MONITOR_POLL_HZ
 from repro.board.sense import CurrentSenseChannel, SenseResistor, VoltageMonitor
 from repro.power.chip_power import RailPower
-from repro.util.stats import Measurement
+from repro.util.stats import Measurement, mean_std
 
 #: true_power(t_seconds) -> RailPower: what the chip is really drawing.
 PowerSource = Callable[[float], RailPower]
@@ -54,6 +54,7 @@ class MeasurementProtocol:
             raise ValueError("poll rate and sample count must be positive")
         self.poll_hz = poll_hz
         self.samples = samples
+        self._rng = rng
         self._rails = {
             "vdd": (
                 VoltageMonitor(rng),
@@ -68,6 +69,18 @@ class MeasurementProtocol:
                 CurrentSenseChannel(SenseResistor(0.010), rng),
             ),
         }
+        # Per rail (vdd, vcs, vio) and per reading in poll order (the
+        # voltage monitor, then the shunt's high and low sides).
+        monitors = [
+            (vmon, imon.high, imon.low) for vmon, imon in self._rails.values()
+        ]
+        self._sigma = np.array(
+            [[m.noise_sigma_v for m in rail] for rail in monitors]
+        )
+        self._lsb = np.array([[m.lsb_v for m in rail] for rail in monitors])
+        self._ohms = np.array(
+            [imon.resistor.ohms for _, imon in self._rails.values()]
+        )
 
     def measure(
         self,
@@ -81,29 +94,44 @@ class MeasurementProtocol:
         real power fluctuations (phases, refresh) land in the error bar
         exactly as they would on the bench.
         """
-        per_rail: dict[str, list[float]] = {"vdd": [], "vcs": [], "vio": []}
-        for k in range(self.samples):
-            t = start_time_s + k / self.poll_hz
-            true = power_source(t)
-            true_by_rail = {
-                "vdd": true.vdd_w,
-                "vcs": true.vcs_w,
-                "vio": true.vio_w,
-            }
-            for rail, (vmon, imon) in self._rails.items():
-                volts = voltages[rail]
-                true_current = true_by_rail[rail] / volts
-                v_meas = vmon.read(volts)
-                i_meas = imon.read_current_a(true_current, volts)
-                per_rail[rail].append(v_meas * i_meas)
-        return RailMeasurement(
-            vdd=Measurement.from_samples(per_rail["vdd"]),
-            vcs=Measurement.from_samples(per_rail["vcs"]),
-            vio=Measurement.from_samples(per_rail["vio"]),
-        )
+        true_w = np.array([
+            (p.vdd_w, p.vcs_w, p.vio_w)
+            for p in (
+                power_source(start_time_s + k / self.poll_hz)
+                for k in range(self.samples)
+            )
+        ])
+        return self._sample(true_w, voltages)
 
     def measure_steady(
         self, power: RailPower, voltages: dict[str, float]
     ) -> RailMeasurement:
         """Measure a time-invariant power draw."""
-        return self.measure(lambda _t: power, voltages)
+        true_w = np.array((power.vdd_w, power.vcs_w, power.vio_w))
+        return self._sample(true_w, voltages)
+
+    def _sample(
+        self, true_w: np.ndarray, voltages: dict[str, float]
+    ) -> RailMeasurement:
+        """Read ``true_w`` (samples x rails, or one row for a steady
+        draw) through the monitors.
+
+        One draw supplies every reading's noise, in the order the bench
+        polls: sample, then rail, then voltage, high and low monitor.
+        Element for element this is :meth:`VoltageMonitor.read` and
+        :meth:`CurrentSenseChannel.read_current_a` in that order.
+        """
+        noise = self._rng.normal(
+            0.0, self._sigma, size=(self.samples, *self._sigma.shape)
+        )
+        volts = np.array([voltages[rail] for rail in self._rails])
+        true_v = np.empty_like(noise)
+        true_v[...] = volts[:, None]
+        true_v[:, :, 1] = volts + true_w / volts * self._ohms
+        # Each monitor's ADC rounds to the nearest LSB, ties to even.
+        read = np.rint((true_v + noise) / self._lsb) * self._lsb
+        volts_meas, high, low = read[:, :, 0], read[:, :, 1], read[:, :, 2]
+        power = volts_meas * ((high - low) / self._ohms)
+        return RailMeasurement(
+            *(Measurement(*mean_std(power[:, r])) for r in range(3))
+        )

@@ -100,10 +100,31 @@ class ExperimentalSystem:
         window_cycles: float | None = None,
     ) -> float:
         """Die temperature once the power-thermal loop settles."""
+        return self._settle(self._activity_power(ledger, window_cycles))
+
+    def _activity_power(
+        self,
+        ledger: EventLedger | None,
+        window_cycles: float | None,
+    ) -> RailPower | None:
+        """The ledger's event power, ``None`` for an idle chip.
+
+        Event power does not depend on die temperature, so one
+        measurement prices its ledger once, outside the settle loop.
+        """
+        if ledger is None:
+            return None
+        if window_cycles is None:
+            raise ValueError("workload power needs a cycle window")
+        return self.power_model.event_power(
+            ledger, window_cycles, self.operating_point(self.cooling.ambient_c)
+        )
+
+    def _settle(self, activity: RailPower | None) -> float:
         ambient = self.cooling.ambient_c
         temp = ambient
         for _ in range(100):
-            power = self._true_power(temp, ledger, window_cycles).total_w
+            power = self._true_power(temp, activity).total_w
             new_temp = ambient + self.cooling.r_ja * power
             if abs(new_temp - temp) < 0.01:
                 return new_temp
@@ -111,20 +132,10 @@ class ExperimentalSystem:
         return temp
 
     def _true_power(
-        self,
-        temp_c: float,
-        ledger: EventLedger | None,
-        window_cycles: float | None,
+        self, temp_c: float, activity: RailPower | None
     ) -> RailPower:
-        op = self.operating_point(temp_c)
-        power = self.power_model.idle_power(op)
-        if ledger is not None:
-            if window_cycles is None:
-                raise ValueError("workload power needs a cycle window")
-            power = power + self.power_model.event_power(
-                ledger, window_cycles, op
-            )
-        return power
+        power = self.power_model.idle_power(self.operating_point(temp_c))
+        return power if activity is None else power + activity
 
     # ------------------------------------------------------------ measurement
     def measure_static(self) -> RailMeasurement:
@@ -149,8 +160,8 @@ class ExperimentalSystem:
         window_cycles: float | None,
     ) -> RailMeasurement:
         """The standard steady-state measurement of a running workload."""
-        temp = self.settle_temperature(ledger, window_cycles)
-        power = self._true_power(temp, ledger, window_cycles)
+        activity = self._activity_power(ledger, window_cycles)
+        power = self._true_power(self._settle(activity), activity)
         return self._protocol.measure_steady(power, self.board.rail_voltages())
 
     def true_total_power_w(
@@ -160,5 +171,5 @@ class ExperimentalSystem:
     ) -> float:
         """Noise-free model power at the settled temperature (for
         tests and cross-checks, not for experiment outputs)."""
-        temp = self.settle_temperature(ledger, window_cycles)
-        return self._true_power(temp, ledger, window_cycles).total_w
+        activity = self._activity_power(ledger, window_cycles)
+        return self._true_power(self._settle(activity), activity).total_w

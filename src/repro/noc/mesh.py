@@ -6,25 +6,64 @@ switching fraction and a ``noc{k}.coupling`` event weighted by the
 opposite-direction adjacent-bit fraction. Router traversals record
 ``noc{k}.router_pass``. These are exactly the quantities the Figure 12
 energy model prices.
+
+A cycle costs what its traffic needs: only routers that may hold a
+flit are arbitrated, and a cycle with nothing buffered or queued for
+injection only advances the clock. Routes and links come from
+per-shape tables instead of coordinate arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
-from dataclasses import dataclass
 
 from repro.arch.floorplan import Floorplan
 from repro.arch.params import PitonConfig
 from repro.noc.flit import Flit, Packet, coupling_factor, switching_bits
-from repro.noc.router import Port, Router, is_turn
+from repro.noc.router import PORTS, Port, Router, is_turn
 from repro.util.events import EventLedger
 
+#: Round-robin scan order from each pointer value, as ``(index, port)``.
+_RR_SCAN = tuple(
+    tuple(enumerate(PORTS))[start:] + tuple(enumerate(PORTS))[:start]
+    for start in range(len(PORTS))
+)
 
-@dataclass(frozen=True)
-class _Move:
-    router: int
-    in_port: Port
-    out_port: Port
+#: Output port -> (dx, dy, input port the flit arrives on downstream).
+_STEPS = {
+    Port.NORTH: (0, -1, Port.SOUTH),
+    Port.EAST: (1, 0, Port.WEST),
+    Port.SOUTH: (0, 1, Port.NORTH),
+    Port.WEST: (-1, 0, Port.EAST),
+}
+
+
+@functools.cache
+def _mesh_tables(width: int, height: int) -> tuple[tuple, tuple]:
+    """Lookup tables of one mesh shape, built on first use.
+
+    ``routes[tile][dest]`` is the output port a head flit bound for
+    ``dest`` takes at ``tile`` (:meth:`Router.route_port`, X then Y).
+    ``links[tile][port]`` is the ``(neighbour, input port)`` an output
+    port feeds, or ``None`` for the local port and the mesh edge.
+    """
+    tiles = [Router(t, t % width, t // width) for t in range(width * height)]
+
+    def link(router: Router, port: Port) -> tuple[int, Port] | None:
+        if port is Port.LOCAL:
+            return None
+        dx, dy, reverse = _STEPS[port]
+        x, y = router.x + dx, router.y + dy
+        if 0 <= x < width and 0 <= y < height:
+            return y * width + x, reverse
+        return None
+
+    routes = tuple(
+        tuple(r.route_port(d.x, d.y) for d in tiles) for r in tiles
+    )
+    links = tuple(tuple(link(r, p) for p in PORTS) for r in tiles)
+    return routes, links
 
 
 class MeshNetwork:
@@ -48,6 +87,12 @@ class MeshNetwork:
         for tile in range(self.config.tile_count):
             coord = self.floorplan.coord_of(tile)
             self.routers.append(Router(tile, coord.x, coord.y))
+        self._routes, self._links = _mesh_tables(
+            self.config.mesh_width, self.config.mesh_height
+        )
+        self._router_pass = f"noc{network_id}.router_pass"
+        self._flit_hop = f"noc{network_id}.flit_hop"
+        self._coupling = f"noc{network_id}.coupling"
         # Link switching state: last payload per directed link, plus
         # exact per-link flit counts for traffic analysis.
         self._link_last: dict[tuple[int, int], int] = {}
@@ -59,6 +104,12 @@ class MeshNetwork:
         self._pending_packets: dict[int, deque[Packet]] = {
             t: deque() for t in range(self.config.tile_count)
         }
+        # Tiles whose injection queue, and routers whose input queues,
+        # may hold flits: supersets of the occupied ones (emptied
+        # entries are dropped lazily), so a fault that edits a queue
+        # in place never hides a flit from the step loop.
+        self._injecting: set[int] = set()
+        self._busy: set[int] = set()
         self.delivered: list[Packet] = []
         self._eject_partial: dict[int, list[Flit]] = {}
         self._eject_packet_queue: dict[int, deque[Packet]] = {}
@@ -82,18 +133,18 @@ class MeshNetwork:
         self._eject_packet_queue.setdefault(packet.dest, deque()).append(
             packet
         )
-        for flit in packet.flits:
-            self._inject_queues[at_tile].append(flit)
+        self._inject_queues[at_tile].extend(packet.flits)
+        self._injecting.add(at_tile)
         self.flits_injected += len(packet.flits)
 
     @property
     def in_flight(self) -> int:
         """Flits injected but not yet ejected."""
-        queued = sum(len(q) for q in self._inject_queues.values())
+        queued = sum(len(self._inject_queues[t]) for t in self._injecting)
         buffered = sum(
             len(port.queue)
-            for router in self.routers
-            for port in router.inputs.values()
+            for tile in self._busy
+            for port in self.routers[tile].inputs.values()
         )
         partial = sum(len(f) for f in self._eject_partial.values())
         return queued + buffered + partial
@@ -101,9 +152,9 @@ class MeshNetwork:
     # ------------------------------------------------------------------ step
     def step(self) -> None:
         """Advance one cycle."""
-        self._feed_injection()
-        moves = self._arbitrate()
-        self._apply(moves)
+        if self._injecting or self._busy:
+            self._feed_injection()
+            self._apply(self._arbitrate())
         self.now += 1
         if self.checker is not None and self.now % self.CHECK_INTERVAL == 0:
             self.checker.check_mesh(self)
@@ -124,115 +175,101 @@ class MeshNetwork:
 
     # ----------------------------------------------------------------- phases
     def _feed_injection(self) -> None:
-        for tile, queue in self._inject_queues.items():
+        for tile in sorted(self._injecting):
+            queue = self._inject_queues[tile]
             router = self.routers[tile]
             while queue and router.can_accept(Port.LOCAL):
                 router.enqueue(Port.LOCAL, queue.popleft())
+            self._busy.add(tile)
+            if not queue:
+                self._injecting.discard(tile)
 
-    def _arbitrate(self) -> list[_Move]:
-        moves: list[_Move] = []
-        for router in self.routers:
-            for out_port in Port:
+    def _arbitrate(self) -> list[tuple[int, Port, Port]]:
+        """Grants of this cycle as ``(tile, in_port, out_port)``, in
+        ascending tile then output-port order."""
+        moves: list[tuple[int, Port, Port]] = []
+        for tile in sorted(self._busy):
+            router = self.routers[tile]
+            if not any(ip.queue for ip in router.inputs.values()):
+                self._busy.discard(tile)
+                continue
+            for out_port in PORTS:
                 in_port = self._grant(router, out_port)
                 if in_port is not None:
-                    moves.append(_Move(router.tile_id, in_port, out_port))
+                    moves.append((tile, in_port, out_port))
         return moves
 
     def _grant(self, router: Router, out_port: Port) -> Port | None:
         locked_in = router.output_locked_by[out_port]
         if locked_in is not None:
             candidate = router.inputs[locked_in]
-            if candidate.head() is None:
+            if not candidate.queue:
                 return None
             if candidate.stall_until > self.now:
                 return None
-            if self._downstream_full(router, out_port):
+            if self._downstream_full(router.tile_id, out_port):
                 return None
             return locked_in
         # Round-robin among inputs whose head flit routes to out_port.
-        ports = list(Port)
-        start = router.rr_pointer[out_port]
-        for i in range(len(ports)):
-            in_port = ports[(start + i) % len(ports)]
+        routes = self._routes[router.tile_id]
+        for index, in_port in _RR_SCAN[router.rr_pointer[out_port]]:
             ip = router.inputs[in_port]
-            if ip.locked_output is not None:
+            if ip.locked_output is not None or not ip.queue:
                 continue
-            head = ip.head()
-            if head is None or not head.is_head:
-                continue
-            coord = self.floorplan.coord_of(head.dest)
-            if router.route_port(coord.x, coord.y) != out_port:
+            head = ip.queue[0]
+            if not head.is_head or routes[head.dest] != out_port:
                 continue
             if ip.stall_until > self.now:
                 continue
             if is_turn(in_port, out_port) and ip.stall_until < self.now:
                 # First grant of a turning packet burns the turn cycle.
                 ip.stall_until = self.now + 1
-                router.rr_pointer[out_port] = (ports.index(in_port)) % len(
-                    ports
-                )
+                router.rr_pointer[out_port] = index
                 return None
-            if self._downstream_full(router, out_port):
+            if self._downstream_full(router.tile_id, out_port):
                 return None
             # Lock the wormhole path.
             ip.locked_output = out_port
             router.output_locked_by[out_port] = in_port
-            router.rr_pointer[out_port] = (ports.index(in_port) + 1) % len(
-                ports
-            )
+            router.rr_pointer[out_port] = (index + 1) % len(PORTS)
             return in_port
         return None
 
-    def _downstream_full(self, router: Router, out_port: Port) -> bool:
+    def _downstream_full(self, tile: int, out_port: Port) -> bool:
         if out_port == Port.LOCAL:
             return False
-        neighbor, in_port = self._neighbor(router, out_port)
+        neighbor, in_port = self._links[tile][out_port]
         return not self.routers[neighbor].can_accept(in_port)
 
-    def _neighbor(self, router: Router, out_port: Port) -> tuple[int, Port]:
-        dx, dy, reverse = {
-            Port.EAST: (1, 0, Port.WEST),
-            Port.WEST: (-1, 0, Port.EAST),
-            Port.SOUTH: (0, 1, Port.NORTH),
-            Port.NORTH: (0, -1, Port.SOUTH),
-        }[out_port]
-        from repro.arch.floorplan import TileCoord
-
-        coord = TileCoord(router.x + dx, router.y + dy)
-        return self.floorplan.tile_id_of(coord), reverse
-
-    def _apply(self, moves: list[_Move]) -> None:
+    def _apply(self, moves: list[tuple[int, Port, Port]]) -> None:
         if moves:
             self.last_progress = self.now
-        for move in moves:
-            router = self.routers[move.router]
-            ip = router.inputs[move.in_port]
+        for tile, in_port, out_port in moves:
+            router = self.routers[tile]
+            ip = router.inputs[in_port]
             flit = ip.queue.popleft()
             router.flits_routed += 1
             self.ledger.record(
-                f"noc{self.network_id}.router_pass",
-                activity=flit.payload.bit_count() / 64.0,
+                self._router_pass, activity=flit.payload.bit_count() / 64.0
             )
             if flit.is_tail:
                 ip.locked_output = None
-                router.output_locked_by[move.out_port] = None
-            if move.out_port == Port.LOCAL:
-                self._eject(router.tile_id, flit)
+                router.output_locked_by[out_port] = None
+            if out_port == Port.LOCAL:
+                self._eject(tile, flit)
             else:
-                neighbor, in_port = self._neighbor(router, move.out_port)
-                self._traverse_link(router.tile_id, neighbor, flit)
-                self.routers[neighbor].enqueue(in_port, flit)
+                neighbor, neighbor_in = self._links[tile][out_port]
+                self._traverse_link(tile, neighbor, flit)
+                self.routers[neighbor].enqueue(neighbor_in, flit)
+                self._busy.add(neighbor)
 
     def _traverse_link(self, src: int, dst: int, flit: Flit) -> None:
         key = (src, dst)
         prev = self._link_last.get(key, 0)
         toggled = switching_bits(prev, flit.payload)
+        self.ledger.record(self._flit_hop, activity=toggled / 64.0)
         self.ledger.record(
-            f"noc{self.network_id}.flit_hop", activity=toggled / 64.0
-        )
-        self.ledger.record(
-            f"noc{self.network_id}.coupling",
-            activity=coupling_factor(prev, flit.payload),
+            self._coupling, activity=coupling_factor(prev, flit.payload)
         )
         self._link_last[key] = flit.payload
         self.link_counts[key] = self.link_counts.get(key, 0) + 1

@@ -23,6 +23,9 @@ class Port(enum.IntEnum):
     WEST = 4
 
 
+#: Ports in arbitration order; round-robin pointers index into it.
+PORTS = tuple(Port)
+
 X_PORTS = (Port.EAST, Port.WEST)
 Y_PORTS = (Port.NORTH, Port.SOUTH)
 
@@ -40,9 +43,6 @@ class InputPort:
     locked_output: Port | None = None
     stall_until: int = -1  # turn-penalty stall
 
-    def head(self) -> Flit | None:
-        return self.queue[0] if self.queue else None
-
 
 class Router:
     """One mesh router's state. The mesh drives arbitration."""
@@ -53,11 +53,9 @@ class Router:
         self.tile_id = tile_id
         self.x = x
         self.y = y
-        self.inputs: dict[Port, InputPort] = {p: InputPort() for p in Port}
-        self.output_locked_by: dict[Port, Port | None] = {
-            p: None for p in Port
-        }
-        self.rr_pointer: dict[Port, int] = {p: 0 for p in Port}
+        self.inputs: dict[Port, InputPort] = {p: InputPort() for p in PORTS}
+        self.output_locked_by: dict[Port, Port | None] = dict.fromkeys(PORTS)
+        self.rr_pointer: dict[Port, int] = dict.fromkeys(PORTS, 0)
         self.flits_routed = 0
 
     def route_port(self, dest_x: int, dest_y: int) -> Port:

@@ -302,13 +302,19 @@ def test_cli_sigint_then_resume_bit_identical(tmp_path):
     assert clean_proc.wait(timeout=120) == 0, clean_proc.stdout.read()
 
     proc = _repro(run + ["--out", "resumed.json"], cwd=tmp_path)
-    time.sleep(1.0)
+    ckpt = tmp_path / "results" / "checkpoints" / "fig11"
+    # Interrupt as soon as the first point is journaled, so the signal
+    # lands mid-grid however fast the host runs the 42-point grid (a
+    # fixed one-second sleep let a quick grid finish first).
+    deadline = time.monotonic() + 60
+    while proc.poll() is None and not list(ckpt.glob("point-*.seg")):
+        assert time.monotonic() < deadline, "no point was ever journaled"
+        time.sleep(0.005)
     proc.send_signal(signal.SIGINT)
     code = proc.wait(timeout=60)
     if code == 0:  # the grid won the race; nothing to resume
         pytest.skip("run finished before SIGINT landed")
     assert code == EXIT_RESUMABLE, proc.stdout.read()
-    ckpt = tmp_path / "results" / "checkpoints" / "fig11"
     assert ckpt.is_dir() and list(ckpt.glob("point-*.seg"))
 
     resumed_proc = _repro(

@@ -10,11 +10,12 @@ from repro.board.monitor import MeasurementProtocol
 from repro.board.psu import BenchSupply, OnBoardSupply
 from repro.board.sense import CurrentSenseChannel, SenseResistor, VoltageMonitor
 from repro.board.testboard import ExperimentalSystem, PitonTestBoard
-from repro.power.chip_power import RailPower
+from repro.power.chip_power import ChipPowerModel, OperatingPoint, RailPower
 from repro.silicon.variation import (
     CHIP1,
     CHIP2,
     CHIP3,
+    PERSONAS,
     ChipPersona,
     sample_persona,
 )
@@ -26,6 +27,7 @@ from repro.silicon.yield_model import (
 )
 from repro.util.events import EventLedger
 from repro.util.rng import RngFactory
+from repro.util.stats import Measurement
 
 
 class TestPsu:
@@ -81,7 +83,74 @@ class TestSense:
         assert np.mean(readings) == pytest.approx(2.0, rel=0.01)
 
 
+def per_sample_reference(rng, power_at, voltages, samples=128):
+    """The bench loop the protocol vectorizes: per sample, per rail
+    (vdd, vcs, vio), one voltage reading, then the shunt's high and
+    low readings, each drawing its own noise."""
+    rails = {
+        rail: (
+            VoltageMonitor(rng),
+            CurrentSenseChannel(SenseResistor(ohms), rng),
+        )
+        for rail, ohms in (("vdd", 0.005), ("vcs", 0.005), ("vio", 0.010))
+    }
+    per_rail = {rail: [] for rail in rails}
+    for k in range(samples):
+        true = power_at(k / 17.0)
+        true_w = {"vdd": true.vdd_w, "vcs": true.vcs_w, "vio": true.vio_w}
+        for rail, (vmon, imon) in rails.items():
+            volts = voltages[rail]
+            v_meas = vmon.read(volts)
+            i_meas = imon.read_current_a(true_w[rail] / volts, volts)
+            per_rail[rail].append(v_meas * i_meas)
+    return {
+        rail: Measurement.from_samples(s) for rail, s in per_rail.items()
+    }
+
+
 class TestMeasurementProtocol:
+    @pytest.mark.parametrize("seed", [0, 9, 13, 2024])
+    def test_one_draw_equals_per_sample_reference(self, seed):
+        """``measure_steady`` draws all noise at once; it must equal the
+        per-sample loop bit for bit, draw for draw."""
+        ledger = EventLedger()
+        ledger.record("instr.int_add", 40_000, activity=0.3)
+        ledger.record("core.active_cycle", 50_000)
+        for persona in PERSONAS.values():
+            model = ChipPowerModel(persona)
+            protocol = MeasurementProtocol(np.random.default_rng(seed))
+            ref_rng = np.random.default_rng(seed)
+            for vdd in (0.8, 1.0, 1.2):
+                voltages = {"vdd": vdd, "vcs": vdd + 0.05, "vio": 1.8}
+                op = OperatingPoint(vdd, vdd + 0.05, freq_hz=400e6)
+                for power in (
+                    model.idle_power(op),
+                    model.total_power(ledger, 50_000, op),
+                ):
+                    got = protocol.measure_steady(power, voltages)
+                    want = per_sample_reference(
+                        ref_rng, lambda _t: power, voltages
+                    )
+                    for rail in ("vdd", "vcs", "vio"):
+                        assert getattr(got, rail) == want[rail], (
+                            persona.name, vdd, rail,
+                        )
+
+    def test_time_varying_measure_equals_reference(self):
+        def wobble(t: float) -> RailPower:
+            return RailPower(2.0 + 0.2 * np.sin(t), 0.3 + 0.01 * t, 0.1)
+
+        voltages = {"vdd": 1.0, "vcs": 1.05, "vio": 1.8}
+        got = MeasurementProtocol(np.random.default_rng(4)).measure(
+            wobble, voltages
+        )
+        want = per_sample_reference(
+            np.random.default_rng(4), wobble, voltages
+        )
+        assert (got.vdd, got.vcs, got.vio) == (
+            want["vdd"], want["vcs"], want["vio"],
+        )
+
     def test_sample_count_and_noise(self):
         protocol = MeasurementProtocol(np.random.default_rng(2))
         power = RailPower(2.0, 0.3, 0.1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.arch.params import PitonConfig
+from repro.check import CheckSuite
 from repro.noc.flit import (
     Flit,
     Packet,
@@ -16,6 +17,7 @@ from repro.noc.mesh import MeshNetwork
 from repro.noc.mitts import MittsBin, MittsShaper
 from repro.noc.router import Port, Router, is_turn
 from repro.util.events import EventLedger
+from repro.workloads.noc_tests import run_noc_stream
 
 ONES = (1 << 64) - 1
 AAAA = 0xAAAAAAAAAAAAAAAA
@@ -178,6 +180,61 @@ class TestMeshNetwork:
             # check drain succeeds trivially.
             mesh.inject(Packet.build(1, [0]), 0)
             mesh.drain(max_cycles=1)
+
+
+class TestMeshIdleWork:
+    """The mesh does work only where flits are: pinned by counting
+    ``_grant`` calls, not by timing them."""
+
+    @pytest.fixture
+    def grants(self, monkeypatch):
+        """Every ``_grant`` call as ``(cycle, tile, router held a flit)``."""
+        calls = []
+        grant = MeshNetwork._grant
+
+        def counted(mesh, router, out_port):
+            holding = any(ip.queue for ip in router.inputs.values())
+            calls.append((mesh.now, router.tile_id, holding))
+            return grant(mesh, router, out_port)
+
+        monkeypatch.setattr(MeshNetwork, "_grant", counted)
+        return calls
+
+    def test_stepped_empty_mesh_arbitrates_no_router(self, grants):
+        mesh = MeshNetwork()
+        mesh.run(300)
+        mesh.drain()
+        assert mesh.now == 300
+        assert grants == []
+
+    def test_stream_arbitrates_only_routers_holding_flits(self, grants):
+        run = run_noc_stream("FSW", 8, packets=3)
+        assert run.packets_delivered == 3
+        assert grants, "a stream must arbitrate the routers on its path"
+        assert all(holding for _, _, holding in grants)
+        # At most the 9 routers of the 8-hop path, 5 outputs each; a
+        # mesh arbitrating every router makes 125 calls per cycle.
+        per_cycle: dict[int, int] = {}
+        for now, _, _ in grants:
+            per_cycle[now] = per_cycle.get(now, 0) + 1
+        assert max(per_cycle.values()) <= 9 * len(Port)
+        assert len({tile for _, tile, _ in grants}) == 9
+
+    @pytest.mark.parametrize(
+        "pattern, hops, packets, sweeps",
+        [("FSW", 8, 3, 2), ("NSW", 0, 3, 2), ("FSWA", 4, 60, 44),
+         ("HSW", 1, 1, 1)],
+    )
+    def test_checker_cadence_counts_idle_cycles(
+        self, pattern, hops, packets, sweeps
+    ):
+        """Idle cycles still step the clock and the sweep cadence: one
+        sweep per ``CHECK_INTERVAL`` cycles plus the one ``drain``
+        ends with."""
+        suite = CheckSuite()
+        run_noc_stream(pattern, hops, packets, checker=suite)
+        assert suite.counts["mesh"] == sweeps
+        assert suite.violations == 0
 
 
 class TestMitts:
