@@ -4,10 +4,14 @@ The NoC energy model needs physical routing distance (the paper quotes
 a tile pitch of 1.14452 mm in X and 1.053 mm in Y); the routers need
 dimension-ordered hop paths. Both are derived here from the mesh shape
 in :class:`~repro.arch.params.PitonConfig`.
+
+The memory system asks for hop counts and turns on every miss, so those
+two come from tables built once per mesh shape, on first use.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,6 +29,24 @@ class TileCoord:
 
     x: int
     y: int
+
+
+@functools.lru_cache(maxsize=64)
+def _distance_tables(
+    width: int, height: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[bool, ...], ...]]:
+    """Hop counts and turn flags of a ``width`` x ``height`` mesh,
+    indexed ``[src][dst]``."""
+    coords = [(t % width, t // width) for t in range(width * height)]
+    hops = tuple(
+        tuple(abs(ax - bx) + abs(ay - by) for bx, by in coords)
+        for ax, ay in coords
+    )
+    turns = tuple(
+        tuple(ax != bx and ay != by for bx, by in coords)
+        for ax, ay in coords
+    )
+    return hops, turns
 
 
 class Floorplan:
@@ -51,15 +73,33 @@ class Floorplan:
         return iter(range(self.config.tile_count))
 
     # --- distance -----------------------------------------------------------
+    @functools.cached_property
+    def _hop_rows(self) -> tuple[tuple[int, ...], ...]:
+        width, height = self.config.mesh_width, self.config.mesh_height
+        return _distance_tables(width, height)[0]
+
+    @functools.cached_property
+    def _turn_rows(self) -> tuple[tuple[bool, ...], ...]:
+        width, height = self.config.mesh_width, self.config.mesh_height
+        return _distance_tables(width, height)[1]
+
     def hops(self, src: int, dst: int) -> int:
         """Manhattan hop count between two tiles."""
-        a, b = self.coord_of(src), self.coord_of(dst)
-        return abs(a.x - b.x) + abs(a.y - b.y)
+        try:
+            if src >= 0 and dst >= 0:
+                return self._hop_rows[src][dst]
+        except IndexError:
+            pass
+        raise self._range_error(src, dst)
 
     def has_turn(self, src: int, dst: int) -> bool:
         """True when the dimension-ordered route changes dimension."""
-        a, b = self.coord_of(src), self.coord_of(dst)
-        return a.x != b.x and a.y != b.y
+        try:
+            if src >= 0 and dst >= 0:
+                return self._turn_rows[src][dst]
+        except IndexError:
+            pass
+        raise self._range_error(src, dst)
 
     def route(self, src: int, dst: int) -> list[int]:
         """Dimension-ordered (X then Y) tile path, inclusive of endpoints."""
@@ -132,6 +172,10 @@ class Floorplan:
 
     def _check_tile(self, tile_id: int) -> None:
         if not 0 <= tile_id < self.config.tile_count:
-            raise ValueError(
-                f"tile {tile_id} out of range 0..{self.config.tile_count - 1}"
-            )
+            raise self._range_error(tile_id)
+
+    def _range_error(self, *tiles: int) -> ValueError:
+        """The error naming the first of ``tiles`` outside the mesh."""
+        n = self.config.tile_count
+        bad = next(t for t in tiles if not 0 <= t < n)
+        return ValueError(f"tile {bad} out of range 0..{n - 1}")

@@ -39,14 +39,15 @@ class AddressMap:
     ):
         self.config = config or PitonConfig()
         self.interleave = interleave
+        self._home_shift = self._shift()
+        self._tiles = self.config.tile_count
 
     # --- forward mapping -------------------------------------------------------
     def home_tile(self, addr: int) -> int:
         """Home L2 slice (tile id) for the line containing ``addr``."""
         if addr < 0:
             raise ValueError("addresses must be non-negative")
-        shift = self._shift()
-        return (addr >> shift) % self.config.tile_count
+        return (addr >> self._home_shift) % self._tiles
 
     def _shift(self) -> int:
         line_bits = (self.config.l2_slice.line_bytes - 1).bit_length()
@@ -73,7 +74,7 @@ class AddressMap:
         """
         if not 0 <= tile < self.config.tile_count:
             raise ValueError(f"tile {tile} out of range")
-        shift = self._shift()
+        shift = self._home_shift
         n = self.config.tile_count
         # Walk candidate line numbers whose homing field selects `tile`,
         # spaced so successive sequence numbers differ in tag bits.

@@ -39,9 +39,11 @@ class L2Slice:
         self.tags = SetAssocCache(params, name=f"l2[{tile_id}]")
         self.directory: dict[int, DirectoryEntry] = {}
         self.ledger = ledger
+        self._line_bytes = params.line_bytes
 
     def line_addr(self, addr: int) -> int:
-        return self.tags.line_addr(addr) * self.tags.params.line_bytes
+        """Base byte address of the L2 line containing ``addr``."""
+        return addr // self._line_bytes * self._line_bytes
 
     def lookup(self, addr: int, write: bool = False) -> bool:
         """Tag + directory-cache lookup; returns residency."""

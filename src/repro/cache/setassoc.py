@@ -24,34 +24,43 @@ class AccessResult:
     evicted_dirty: bool = False
 
 
+_HIT = AccessResult(hit=True)
+_MISS = AccessResult(hit=False)
+
+
 class SetAssocCache:
     """A set-associative cache tag store.
 
     Addresses are byte addresses; lines are identified internally by
     ``addr // line_bytes``. Each set is an ordered list of
-    (line_addr, dirty) pairs, most recently used first.
+    (line_addr, dirty) pairs, most recently used first, created the
+    first time the set is filled (``None`` until then).
     """
 
     def __init__(self, params: CacheParams, name: str = "cache"):
         self.params = params
         self.name = name
         self.stats = CacheStats()
-        self._sets: list[list[tuple[int, bool]]] = [
-            [] for _ in range(params.num_sets)
-        ]
+        self._line_bytes = params.line_bytes
+        self._num_sets = params.num_sets
+        self._ways = params.associativity
+        self._sets: list[list[tuple[int, bool]] | None] = (
+            [None] * self._num_sets
+        )
 
     # --- address helpers ------------------------------------------------------
     def line_addr(self, addr: int) -> int:
-        return addr // self.params.line_bytes
+        return addr // self._line_bytes
 
     def set_index(self, addr: int) -> int:
-        return self.line_addr(addr) % self.params.num_sets
+        return addr // self._line_bytes % self._num_sets
 
     # --- operations -----------------------------------------------------------
     def probe(self, addr: int) -> bool:
         """Check residency without updating LRU or statistics."""
-        line = self.line_addr(addr)
-        return any(tag == line for tag, _ in self._sets[self.set_index(addr)])
+        line = addr // self._line_bytes
+        entries = self._sets[line % self._num_sets]
+        return bool(entries) and any(tag == line for tag, _ in entries)
 
     def access(self, addr: int, write: bool = False) -> AccessResult:
         """Look up ``addr``; on a hit, update LRU (and dirty if ``write``).
@@ -60,16 +69,17 @@ class SetAssocCache:
         :meth:`fill`, because protocol actions (fetching from the next
         level) happen in between.
         """
-        line = self.line_addr(addr)
-        entries = self._sets[self.set_index(addr)]
-        for i, (tag, dirty) in enumerate(entries):
-            if tag == line:
-                entries.pop(i)
-                entries.insert(0, (line, dirty or write))
-                self.stats.hits += 1
-                return AccessResult(hit=True)
+        line = addr // self._line_bytes
+        entries = self._sets[line % self._num_sets]
+        if entries:
+            for i, (tag, dirty) in enumerate(entries):
+                if tag == line:
+                    entries.pop(i)
+                    entries.insert(0, (line, dirty or write))
+                    self.stats.hits += 1
+                    return _HIT
         self.stats.misses += 1
-        return AccessResult(hit=False)
+        return _MISS
 
     def fill(self, addr: int, dirty: bool = False) -> AccessResult:
         """Install the line containing ``addr``, evicting LRU if needed.
@@ -77,24 +87,27 @@ class SetAssocCache:
         Returns the evicted line's base byte address (and dirtiness) so
         the caller can issue a writeback / directory notification.
         """
-        line = self.line_addr(addr)
-        entries = self._sets[self.set_index(addr)]
+        line = addr // self._line_bytes
+        index = line % self._num_sets
+        entries = self._sets[index]
+        if entries is None:
+            entries = self._sets[index] = []
         for i, (tag, was_dirty) in enumerate(entries):
             if tag == line:  # already present: refresh
                 entries.pop(i)
                 entries.insert(0, (line, was_dirty or dirty))
-                return AccessResult(hit=True)
-        evicted_addr, evicted_dirty = None, False
-        if len(entries) >= self.params.associativity:
-            tag, evicted_dirty = entries.pop()
-            evicted_addr = tag * self.params.line_bytes
-            self.stats.evictions += 1
-            if evicted_dirty:
-                self.stats.writebacks += 1
+                return _HIT
+        if len(entries) < self._ways:
+            entries.insert(0, (line, dirty))
+            return _MISS
+        tag, evicted_dirty = entries.pop()
+        self.stats.evictions += 1
+        if evicted_dirty:
+            self.stats.writebacks += 1
         entries.insert(0, (line, dirty))
         return AccessResult(
             hit=False,
-            evicted_line_addr=evicted_addr,
+            evicted_line_addr=tag * self._line_bytes,
             evicted_dirty=evicted_dirty,
         )
 
@@ -104,38 +117,41 @@ class SetAssocCache:
         The caller is responsible for writing back dirty data first
         (use :meth:`is_dirty`).
         """
-        line = self.line_addr(addr)
-        entries = self._sets[self.set_index(addr)]
-        for i, (tag, _) in enumerate(entries):
-            if tag == line:
-                entries.pop(i)
-                self.stats.invalidations += 1
-                return True
+        line = addr // self._line_bytes
+        entries = self._sets[line % self._num_sets]
+        if entries:
+            for i, (tag, _) in enumerate(entries):
+                if tag == line:
+                    entries.pop(i)
+                    self.stats.invalidations += 1
+                    return True
         return False
 
     def is_dirty(self, addr: int) -> bool:
-        line = self.line_addr(addr)
-        return any(
-            tag == line and dirty
-            for tag, dirty in self._sets[self.set_index(addr)]
+        line = addr // self._line_bytes
+        entries = self._sets[line % self._num_sets]
+        return bool(entries) and any(
+            tag == line and dirty for tag, dirty in entries
         )
 
     def set_dirty(self, addr: int, dirty: bool = True) -> None:
-        line = self.line_addr(addr)
-        entries = self._sets[self.set_index(addr)]
-        for i, (tag, _) in enumerate(entries):
+        line = addr // self._line_bytes
+        entries = self._sets[line % self._num_sets]
+        for i, (tag, _) in enumerate(entries or ()):
             if tag == line:
                 entries[i] = (tag, dirty)
                 return
         raise KeyError(f"{self.name}: line for addr {addr:#x} not resident")
 
     def resident_lines(self) -> list[int]:
-        """Base byte addresses of all resident lines (for invariants)."""
+        """Base byte addresses of all resident lines, in set-index
+        order (for invariants)."""
         return [
-            tag * self.params.line_bytes
+            tag * self._line_bytes
             for entries in self._sets
+            if entries
             for tag, _ in entries
         ]
 
     def flush(self) -> None:
-        self._sets = [[] for _ in range(self.params.num_sets)]
+        self._sets = [None] * self._num_sets

@@ -36,6 +36,12 @@ RESPONSE_FLITS = 3
 INVALIDATE_FLITS = 2
 ACK_FLITS = 1
 
+#: ``(flit, flit_hop)`` ledger event names of each physical NoC.
+_NOC_EVENTS = {
+    network: (f"noc{network}.flit", f"noc{network}.flit_hop")
+    for network in (1, 2, 3)
+}
+
 
 def fixed_offchip_model(
     cycles: int = 390,
@@ -109,6 +115,12 @@ class CoherentMemorySystem:
         ]
         # MESI state of each L1.5-resident line, keyed by line base addr.
         self._l15_state: list[dict[int, MesiState]] = [{} for _ in range(n)]
+        self._l15_bytes = self.config.l15.line_bytes
+        self._l2_bytes = self.config.l2_slice.line_bytes
+        # Offsets of the L1.5-sized pieces within one L2 line.
+        self._subline_offsets = tuple(
+            range(0, self._l2_bytes, self._l15_bytes)
+        )
 
     def set_mitts(self, tile: int, shaper: MittsShaper) -> None:
         """Install a MITTS configuration on one tile's memory traffic."""
@@ -415,10 +427,8 @@ class CoherentMemorySystem:
     def _l2_sublines(self, addr: int) -> list[int]:
         """Base addresses of the L1.5-granularity pieces of the L2
         line containing ``addr``."""
-        l2_bytes = self.config.l2_slice.line_bytes
-        l15_bytes = self.config.l15.line_bytes
-        base = (addr // l2_bytes) * l2_bytes
-        return [base + off for off in range(0, l2_bytes, l15_bytes)]
+        base = addr // self._l2_bytes * self._l2_bytes
+        return [base + off for off in self._subline_offsets]
 
     def _fill_l15(self, tile: int, addr: int, state: MesiState) -> None:
         self.ledger.record("l15.fill")
@@ -455,14 +465,18 @@ class CoherentMemorySystem:
         self.l1d[tile].fill(addr)
 
     def _l15_line(self, tile: int, addr: int) -> int:
-        return self.l15[tile].line_addr(addr) * self.config.l15.line_bytes
+        """Base address of ``tile``'s L1.5 line holding ``addr`` (every
+        tile's L1.5 has the same geometry)."""
+        del tile
+        return addr // self._l15_bytes * self._l15_bytes
 
     def _noc_transfer(self, network: int, src: int, dst: int, flits: int) -> None:
         """Record flit-hop events for a message on physical NoC ``network``."""
         hops = self.floorplan.hops(src, dst)
-        self.ledger.record(f"noc{network}.flit", flits)
+        flit, flit_hop = _NOC_EVENTS[network]
+        self.ledger.record(flit, flits)
         if hops:
-            self.ledger.record(f"noc{network}.flit_hop", flits * hops)
+            self.ledger.record(flit_hop, flits * hops)
 
     # ------------------------------------------------------------- invariants
     def check_invariants(self) -> None:

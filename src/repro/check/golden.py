@@ -76,11 +76,17 @@ def live_document(
         fidelity=fidelity,
         profile_dir=profile_dir,
     )
-    doc = strip_document(spec.resolve()(ctx).to_dict())
-    # Round-trip through JSON so the live document has exactly the
-    # type shape a loaded golden has (e.g. float dict keys become
-    # strings); diffing is then always JSON-vs-JSON.
-    return json.loads(json.dumps(doc))
+    return result_document(spec.resolve()(ctx))
+
+
+def result_document(result) -> dict[str, object]:
+    """An experiment result's stripped document, as a golden holds it.
+
+    Round-tripped through JSON so it has exactly the type shape a
+    loaded golden has (e.g. float dict keys become strings); diffing
+    is then always JSON-vs-JSON.
+    """
+    return json.loads(json.dumps(strip_document(result.to_dict())))
 
 
 # ------------------------------------------------------------------ diffing

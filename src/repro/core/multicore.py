@@ -1,9 +1,13 @@
-"""Lockstep multicore engine and the shared functional memory.
+"""Multicore engine and the shared functional memory.
 
-The engine steps every active core cycle-by-cycle against the shared
-coherent memory system. Idle gaps (all threads stalled on long
-latencies) are fast-forwarded, so the cost of simulation scales with
-instructions executed rather than cycles elapsed.
+The engine advances the cores in cycle order against the shared
+coherent memory system, but steps a core only at the cycles where it
+has something to do: each step returns the core's next-event cycle,
+and until that cycle comes the core is left alone and its cycles are
+counted as stall cycles in bulk. Idle gaps (every core stalled on a
+long latency) are fast-forwarded. The cost of simulation thus scales
+with instructions issued and memory transactions, not with cycles
+elapsed or with stall bookkeeping.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class RunResult:
 
 
 class MulticoreEngine:
-    """Steps a set of cores in lockstep over shared memory."""
+    """Steps a set of cores, each when it is due, over shared memory."""
 
     #: Cycle interval between full invariant sweeps when a checker is
     #: installed (sweeps also run once at the end of every run).
@@ -157,6 +161,17 @@ class MulticoreEngine:
             if checker is not None
             else far_future
         )
+        # A visit is a cycle the loop stops at. A core is stepped at a
+        # visit only when its next event is due, or while no thread of
+        # it is unfinished: a visited cycle of a core that only drains
+        # its store buffer is not a stall, so that core must step.
+        # Every visit a core sits out counts as a stall cycle, charged
+        # when it next steps or when the run ends. (Fast-forwarded
+        # cycles count as stalls for every active core, draining or
+        # not.)
+        visit = 0
+        for core in active:
+            core.stepped_visit = 0
 
         try:
             while active:
@@ -170,16 +185,21 @@ class MulticoreEngine:
                     raise RuntimeError(
                         f"workload did not finish within {max_cycles} cycles"
                     )
-                # Step every active core; each step returns the core's
-                # next-event cycle so the fast-forward target needs no
-                # second scan over threads and store buffers.
+                visit += 1
                 next_now = far_future
                 finished = False
                 for core in active:
-                    next_event = core.step(now)
-                    if core.done:
-                        finished = True
-                    elif next_event < next_now:
+                    next_event = core.next_event
+                    if next_event <= now or not core._undone:
+                        idle = visit - core.stepped_visit - 1
+                        if idle:
+                            core.charge_stalls(idle)
+                        core.stepped_visit = visit
+                        next_event = core.step(now)
+                        if core.done:
+                            finished = True
+                            continue
+                    if next_event < next_now:
                         next_now = next_event
                 if finished:
                     active = [c for c in active if not c.done]
@@ -200,6 +220,10 @@ class MulticoreEngine:
                     ff_stall_events += skipped * len(active)
                 self.now = next_now if next_now > now + 1 else now + 1
         finally:
+            for core in active:
+                idle = visit - core.stepped_visit
+                if idle:
+                    core.charge_stalls(idle)
             if ff_stall_events:
                 self.ledger.record("core.stall_cycle", ff_stall_events)
             for core in cores:

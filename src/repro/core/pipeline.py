@@ -13,13 +13,17 @@ Timing rules (all from the paper / OpenSPARC T1 documentation):
 * the store buffer drains serially at the 10-cycle ``stx`` latency and
   performs the real (coherent) L1.5 write at drain time.
 
-Hot-loop design: the issue loop runs once per core per simulated
-cycle — millions of times per experiment — so it avoids per-event
-string hashing and per-instruction opcode lookups. Core-side energy
-events accumulate in interned integer counters (per instruction class)
-and are folded into the shared :class:`EventLedger` once per engine
-run via :meth:`Core.flush_events`; per-instruction ``OpcodeInfo`` is
-read from the program's precomputed ``infos`` list.
+Hot-loop design: the engine steps a core only at the cycles where an
+event of it is due (see :mod:`repro.core.multicore`), so there are
+about as many steps as issued instructions — hundreds of thousands per
+experiment — and each one avoids per-event string hashing and
+per-instruction lookups. An issue is a table dispatch: the thread
+holds its stream's precomputed ``OpcodeInfo`` and semantics-handler
+tables, and calls ``handlers[pc]`` into the one
+:class:`~repro.core.semantics.ExecOutcome` the core reuses. Core-side
+energy events accumulate in interned integer counters (per instruction
+class) and are folded into the shared :class:`EventLedger` once per
+engine run via :meth:`Core.flush_events`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.arch.params import PitonConfig
 from repro.cache.system import CoherentMemorySystem
-from repro.core.semantics import execute
+from repro.core.semantics import ExecOutcome
 from repro.core.storebuffer import StoreBuffer, StoreEntry
 from repro.core.thread import ThreadContext
 from repro.isa.instructions import INSTR_EVENT_NAMES, NUM_INSTR_CLASSES
@@ -99,6 +103,13 @@ class Core:
         # drained. The engine reads the flag instead of re-deriving it.
         self._undone = sum(1 for t in self.threads if not t.done)
         self.done = self._undone == 0 and self.store_buffer.empty
+        #: Cycle of the next event, as last returned by :meth:`step`;
+        #: a fresh core is due at once.
+        self.next_event = 0
+        #: The engine's visit index of this core's last step.
+        self.stepped_visit = 0
+        # One outcome reused for every issued instruction.
+        self._outcome = ExecOutcome()
         self._reset_event_counters()
 
     def _reset_event_counters(self) -> None:
@@ -112,22 +123,6 @@ class Core:
         self._replay_bubbles = 0
         self._class_counts = [0.0] * NUM_INSTR_CLASSES
         self._class_weights = [0.0] * NUM_INSTR_CLASSES
-
-    # ------------------------------------------------------------------ state
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest future cycle at which this core can make progress."""
-        best = None
-        for t in self.threads:
-            if not t.done:
-                r = t.ready_at
-                if best is None or r < best:
-                    best = r
-        drain = self.store_buffer._head_done_at
-        if drain is not None and (best is None or drain < best):
-            best = drain
-        if best is None:
-            return now + _FAR_FUTURE  # effectively never
-        return best if best > now else now + 1
 
     # ----------------------------------------------------------------- events
     def flush_events(self) -> None:
@@ -164,96 +159,143 @@ class Core:
         self._reset_event_counters()
 
     # ------------------------------------------------------------------- step
+    def charge_stalls(self, cycles: int) -> None:
+        """Account ``cycles`` visited cycles the engine did not step
+        this core in because its next event was not yet due: exactly
+        what stepping it would have recorded, one stall cycle each."""
+        stats = self.stats
+        stats.cycles += cycles
+        stats.stall_cycles += cycles
+        self._stall_cycle_events += cycles
+
     def step(self, now: int) -> int:
         """Advance one cycle: drain stores, select a thread, issue.
 
-        Returns the core's next-event cycle (its post-step
-        :meth:`next_event_cycle`), which the engine uses to fast-forward
-        globally idle gaps without a second scan over the threads.
+        Returns the core's next-event cycle, the earliest future cycle
+        at which it can make progress, and keeps it as
+        :attr:`next_event`. The engine steps the core again only once
+        that cycle is due, and fast-forwards globally idle gaps to the
+        earliest one without a second scan over threads.
         """
         stats = self.stats
         stats.cycles += 1
         store_buffer = self.store_buffer
-        if (
-            store_buffer._head_done_at is not None
-            and now >= store_buffer._head_done_at
-        ):
+        drain_at = store_buffer._head_done_at
+        if drain_at is not None and now >= drain_at:
             self._drain_stores(now)
 
-        thread = self._select_thread(now)
+        # Round-robin selection among ready threads.
+        threads = self.threads
+        n_threads = len(threads)
+        thread = None
+        if n_threads == 1:
+            candidate = threads[0]
+            if not candidate.done and candidate.ready_at <= now:
+                thread = candidate
+        else:
+            idx = self._rr_next
+            for _ in range(n_threads):
+                candidate = threads[idx]
+                idx += 1
+                if idx == n_threads:
+                    idx = 0
+                if not candidate.done and candidate.ready_at <= now:
+                    thread = candidate
+                    self._rr_next = idx
+                    break
+
         if thread is None:
             if self._undone:
                 stats.stall_cycles += 1
                 self._stall_cycle_events += 1
             elif not self.done and store_buffer.empty:
                 self.done = True
-            return self.next_event_cycle(now)
-
-        instr = thread.instructions[thread.pc]
-        info = thread.infos[thread.pc]
-
-        # Speculative store issue: detect a full buffer *before* the
-        # architectural write, roll back and replay later.
-        if info.is_store and store_buffer.full:
-            self._rollback(thread, now, kind="store_buffer")
-            return self.next_event_cycle(now)
-
-        outcome = execute(instr, thread, self.memory, info)
-        stats.issued += 1
-        thread.stats.instructions += 1
-        self._issues += 1
-        last = self._last_issued_thread
-        if last is not None and last != thread.thread_id:
-            self._thread_switches += 1
-        self._last_issued_thread = thread.thread_id
-        drafted = self.execution_drafting and self._draftable(instr)
-        n = 0.5 if drafted else 1.0
-        class_index = info.class_index
-        self._class_counts[class_index] += n
-        self._class_weights[class_index] += n * outcome.activity
-
-        if info.is_store:
-            thread.stats.stores += 1
-            store_buffer.push(
-                StoreEntry(outcome.mem_addr, outcome.store_value,
-                           thread.thread_id),
-                now,
-            )
-            thread.ready_at = now + 1
-        elif info.is_load:
-            thread.stats.loads += 1
-            # RAW through the store buffer: a younger buffered store to
-            # the same word forwards its value to this load.
-            forwarded = store_buffer.forward_value(outcome.mem_addr)
-            if forwarded is not None:
-                thread.write_int(instr.rd, forwarded)
-            mem = self.memsys.load(self.tile_id, outcome.mem_addr, now)
-            if mem.level != "l1":
-                stats.load_miss_rollbacks += 1
-                stats.rollbacks += 1
-                thread.stats.rollbacks += 1
-                self._rollback_events += 1
-            thread.ready_at = now + mem.latency
-        elif outcome.is_atomic:
-            mem = self.memsys.atomic(self.tile_id, outcome.mem_addr, now)
-            thread.ready_at = now + mem.latency
-        elif info.is_branch:
-            thread.stats.branches += 1
-            if outcome.branch_taken:
-                thread.stats.branches_taken += 1
-                if outcome.branch_target is not None and (
-                    outcome.branch_target <= thread.pc
-                ):
-                    thread.stats.iterations += 1
-            thread.ready_at = now + info.latency
         else:
-            thread.ready_at = now + info.latency
+            pc = thread.pc
+            info = thread.infos[pc]
+            if info.is_store and store_buffer.full:
+                # Speculative store issue: detect a full buffer *before*
+                # the architectural write, roll back and replay later.
+                self._rollback(thread, now, kind="store_buffer")
+            else:
+                instr = thread.instructions[pc]
+                outcome = self._outcome
+                thread.handlers[pc](instr, thread, self.memory, outcome)
+                stats.issued += 1
+                thread_stats = thread.stats
+                thread_stats.instructions += 1
+                self._issues += 1
+                last = self._last_issued_thread
+                if last is not None and last != thread.thread_id:
+                    self._thread_switches += 1
+                self._last_issued_thread = thread.thread_id
+                drafted = self.execution_drafting and self._draftable(instr)
+                n = 0.5 if drafted else 1.0
+                class_index = info.class_index
+                self._class_counts[class_index] += n
+                self._class_weights[class_index] += n * outcome.activity
 
-        if thread.done:
-            self._undone -= 1
-            if self._undone == 0 and store_buffer.empty:
-                self.done = True
-        return self.next_event_cycle(now)
+                if info.is_store:
+                    thread_stats.stores += 1
+                    store_buffer.push(
+                        StoreEntry(outcome.mem_addr, outcome.store_value,
+                                   thread.thread_id),
+                        now,
+                    )
+                    thread.ready_at = now + 1
+                elif info.is_load:
+                    thread_stats.loads += 1
+                    # RAW through the store buffer: a younger buffered
+                    # store to the same word forwards its value.
+                    forwarded = store_buffer.forward_value(outcome.mem_addr)
+                    if forwarded is not None:
+                        thread.write_int(instr.rd, forwarded)
+                    mem = self.memsys.load(self.tile_id, outcome.mem_addr, now)
+                    if mem.level != "l1":
+                        stats.load_miss_rollbacks += 1
+                        stats.rollbacks += 1
+                        thread_stats.rollbacks += 1
+                        self._rollback_events += 1
+                    thread.ready_at = now + mem.latency
+                elif info.is_atomic:
+                    mem = self.memsys.atomic(
+                        self.tile_id, outcome.mem_addr, now
+                    )
+                    thread.ready_at = now + mem.latency
+                elif info.is_branch:
+                    thread_stats.branches += 1
+                    if outcome.branch_taken:
+                        thread_stats.branches_taken += 1
+                        # A loop iteration: a branch back to its own
+                        # or an earlier pc.
+                        if instr.target <= pc:
+                            thread_stats.iterations += 1
+                    thread.ready_at = now + info.latency
+                else:
+                    thread.ready_at = now + info.latency
+
+                if thread.done:
+                    self._undone -= 1
+                    if self._undone == 0 and store_buffer.empty:
+                        self.done = True
+
+        # Next event: the earliest ready unfinished thread or the
+        # pending store-buffer drain.
+        best = store_buffer._head_done_at
+        if n_threads == 1:
+            only = threads[0]
+            if not only.done and (best is None or only.ready_at < best):
+                best = only.ready_at
+        else:
+            for t in threads:
+                if not t.done and (best is None or t.ready_at < best):
+                    best = t.ready_at
+        if best is None:
+            best = now + _FAR_FUTURE  # effectively never
+        elif best <= now:
+            best = now + 1
+        self.next_event = best
+        return best
 
     # ------------------------------------------------------------------ parts
     def _drain_stores(self, now: int) -> None:
@@ -267,25 +309,6 @@ class Core:
         if extra > 0:
             # Memory backpressure delays the next drain.
             self.store_buffer.delay_head(extra)
-
-    def _select_thread(self, now: int) -> ThreadContext | None:
-        threads = self.threads
-        n = len(threads)
-        if n == 1:
-            thread = threads[0]
-            if not thread.done and thread.ready_at <= now:
-                return thread
-            return None
-        rr_next = self._rr_next
-        for offset in range(n):
-            idx = rr_next + offset
-            if idx >= n:
-                idx -= n
-            thread = threads[idx]
-            if not thread.done and thread.ready_at <= now:
-                self._rr_next = (idx + 1) % n
-                return thread
-        return None
 
     def _rollback(self, thread: ThreadContext, now: int, kind: str) -> None:
         """Speculative-issue failure: replay after the pipeline refills."""

@@ -5,23 +5,29 @@ returning what the pipeline needs for timing and energy: the effective
 address (for memory ops), branch outcome, and the operand switching
 activity that drives the activity-factor energy model.
 
-Dispatch is a per-opcode handler table (built once at import) rather
-than an if-chain, and the handlers read the register files directly:
-this module sits directly inside the simulator's issue loop and runs
-once per executed instruction — millions of times per experiment.
-Register reads skip the ``%r0`` guard because nothing ever writes
-``regs[0]`` (``write_int`` refuses index 0), so it is always 0.
+Dispatch is a per-opcode handler table rather than an if-chain, and
+the handlers read the register files directly: this module sits
+directly inside the simulator's issue loop and runs once per executed
+instruction — millions of times per experiment. Each op stream gets
+its handler tuple once (:func:`resolve_handlers`), so the issue loop
+calls ``handlers[pc]`` with no lookup at all. Register reads skip the
+``%r0`` guard because nothing ever writes ``regs[0]`` (``write_int``
+refuses index 0), so it is always 0.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
-from repro.core.thread import ThreadContext
-from repro.isa.instructions import WORD_MASK
+from repro.isa.instructions import INSTRUCTION_SET, WORD_MASK
 from repro.isa.operands import float_bits
 from repro.isa.program import Instruction
+
+if TYPE_CHECKING:
+    from repro.core.thread import ThreadContext
 
 
 class SharedMemoryProtocol:
@@ -41,6 +47,13 @@ class ExecOutcome:
     ``activity`` is the mean datapath activity factor of the source
     operands (mean set-bit fraction of their 64-bit patterns),
     precomputed by the handler so the pipeline reads a plain float.
+
+    The pipeline reuses one outcome per core, so every handler writes
+    each field the pipeline reads for its instruction class:
+    ``activity`` always, ``mem_addr`` for memory ops, ``store_value``
+    for stores and ``branch_taken`` for branches. The ``is_*`` flags
+    are filled by :func:`execute` from the opcode; the pipeline reads
+    the opcode's :class:`~repro.isa.instructions.OpcodeInfo` instead.
     """
 
     mem_addr: int | None = None
@@ -49,7 +62,6 @@ class ExecOutcome:
     is_atomic: bool = False
     store_value: int = 0
     branch_taken: bool | None = None
-    branch_target: int | None = None
     activity: float = 0.0
 
 
@@ -65,6 +77,7 @@ def _sign64(value: int) -> int:
 
 
 def _h_nop(instr, thread, memory, out):
+    out.activity = 0.0
     pc = thread.pc + 1
     thread.pc = pc
     if pc >= thread.end:
@@ -75,6 +88,7 @@ def _h_set(instr, thread, memory, out):
     rd = instr.rd
     if rd:
         thread.regs[rd] = instr.imm & WORD_MASK
+    out.activity = 0.0
     pc = thread.pc + 1
     thread.pc = pc
     if pc >= thread.end:
@@ -102,7 +116,6 @@ def _make_branch(op: str):
         out.activity = value.bit_count() / 64.0
         taken = (value == 0) if taken_on_zero else (value != 0)
         out.branch_taken = taken
-        out.branch_target = instr.target
         if taken:
             thread.pc = instr.target
         else:
@@ -121,7 +134,6 @@ def _h_ldx(instr, thread, memory, out):
     if rd:
         thread.regs[rd] = value
     out.mem_addr = addr
-    out.is_load = True
     out.activity = value.bit_count() / 64.0
     pc = thread.pc + 1
     thread.pc = pc
@@ -134,7 +146,6 @@ def _h_stx(instr, thread, memory, out):
     addr = (regs[instr.rs2] + (instr.imm or 0)) & WORD_MASK
     value = regs[instr.rs1]
     out.mem_addr = addr
-    out.is_store = True
     out.store_value = value
     out.activity = value.bit_count() / 64.0
     pc = thread.pc + 1
@@ -155,7 +166,6 @@ def _h_cas(instr, thread, memory, out):
     if rd:
         regs[rd] = old
     out.mem_addr = addr
-    out.is_atomic = True
     out.activity = (compare.bit_count() + old.bit_count()) / 128.0
     pc = thread.pc + 1
     thread.pc = pc
@@ -242,11 +252,32 @@ _HANDLERS = {
 }
 
 
+Handler = Callable[[Instruction, "ThreadContext", SharedMemoryProtocol,
+                    ExecOutcome], None]
+
+
+@functools.lru_cache(maxsize=1024)
+def resolve_handlers(ops: tuple[str, ...]) -> tuple[Handler, ...]:
+    """The per-instruction handler table for an op list.
+
+    Memoized process-wide on the opcode-name tuple, like
+    :func:`~repro.isa.program.resolve_infos`: every thread running the
+    same instruction stream shares one tuple.
+    """
+    return tuple(_handler(op) for op in ops)
+
+
+def _handler(op: str) -> Handler:
+    handler = _HANDLERS.get(op)
+    if handler is None:
+        raise ValueError(f"unhandled op {op!r}")
+    return handler
+
+
 def execute(
     instr: Instruction,
-    thread: ThreadContext,
+    thread: "ThreadContext",
     memory: SharedMemoryProtocol,
-    info=None,
 ) -> ExecOutcome:
     """Execute ``instr``, updating ``thread`` registers and PC.
 
@@ -255,13 +286,15 @@ def execute(
     (correct because the coherent system serializes transactions), and
     stores return their value for the store buffer to drain later.
 
-    ``info`` is accepted for compatibility with callers holding the
-    resolved :class:`OpcodeInfo`; dispatch no longer needs it.
+    The single-instruction entry point: it dispatches through the same
+    handler table as the issue loop, into a fresh outcome.
     """
-    del info
-    out = ExecOutcome()
-    handler = _HANDLERS.get(instr.op)
-    if handler is None:
-        raise ValueError(f"unhandled op {instr.op!r}")
+    handler = _handler(instr.op)
+    info = INSTRUCTION_SET[instr.op]
+    out = ExecOutcome(
+        is_load=info.is_load,
+        is_store=info.is_store,
+        is_atomic=info.is_atomic,
+    )
     handler(instr, thread, memory, out)
     return out

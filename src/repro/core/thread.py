@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.semantics import resolve_handlers
 from repro.isa.instructions import NUM_FP_REGS, NUM_INT_REGS, WORD_MASK
 from repro.isa.program import Program
 
@@ -18,7 +19,7 @@ class ThreadStats:
     branches: int = 0
     branches_taken: int = 0
     rollbacks: int = 0
-    iterations: int = 0  # incremented by backward taken branches
+    iterations: int = 0  # taken branches to their own or an earlier pc
 
     def merge(self, other: "ThreadStats") -> None:
         self.instructions += other.instructions
@@ -41,6 +42,8 @@ class ThreadContext:
     ``instructions``/``infos``/``end`` mirror the program's instruction
     list, resolved info list, and length — cached here so the issue
     loop reads them without attribute chains through ``program``.
+    ``handlers`` is the stream's memoized semantics handler table
+    (see :func:`~repro.core.semantics.resolve_handlers`).
     """
 
     thread_id: int
@@ -53,11 +56,15 @@ class ThreadContext:
     stats: ThreadStats = field(default_factory=ThreadStats)
     instructions: list = field(init=False, repr=False, compare=False)
     infos: list = field(init=False, repr=False, compare=False)
+    handlers: tuple = field(init=False, repr=False, compare=False)
     end: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.instructions = self.program.instructions
         self.infos = self.program.infos
+        self.handlers = resolve_handlers(
+            tuple(i.op for i in self.instructions)
+        )
         self.end = len(self.instructions)
 
     def read_int(self, index: int) -> int:

@@ -69,7 +69,8 @@ class OpcodeInfo:
     issuing thread is occupied before a dependent instruction could
     issue (for stores, the store-buffer drain time; for loads, the
     L1-hit use latency). ``class_index`` is the dense id of
-    ``instr_class`` (see :data:`INSTR_CLASS_INDEX`).
+    ``instr_class`` (see :data:`INSTR_CLASS_INDEX`). ``is_atomic``
+    marks the read-modify-write performed at the home L2 (``cas``).
     """
 
     name: str
@@ -80,6 +81,7 @@ class OpcodeInfo:
     is_load: bool = False
     is_store: bool = False
     is_branch: bool = False
+    is_atomic: bool = False
     num_sources: int = 2
     has_dest: bool = True
     class_index: int = 0
@@ -135,6 +137,7 @@ INSTRUCTION_SET: Mapping[str, OpcodeInfo] = dict(
             Unit.MEM,
             InstrClass.STORE,
             34,
+            is_atomic=True,
             num_sources=2,
             has_dest=True,
         ),

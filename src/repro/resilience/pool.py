@@ -34,8 +34,10 @@ pure function of its request, so attempt N is bit-identical to attempt
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as queue_mod
 import signal
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -95,9 +97,16 @@ def _worker_main(
     supervisor as an ``("event", ...)`` message while the point is
     still running — this is how the serve tier streams live telemetry
     out of an isolated worker process.
+
+    The worker exits as soon as its supervising process dies, even in
+    the middle of a point: nobody is left to send it the sentinel or
+    to read its results (a SIGKILLed daemon would otherwise orphan it).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    threading.Thread(
+        target=_exit_with_parent, name="parent-watch", daemon=True
+    ).start()
     from repro.check.faults import trigger_worker_fault
 
     while True:
@@ -122,6 +131,18 @@ def _worker_main(
             )
         else:
             result_q.put(("done", worker_id, index, attempt, result))
+
+
+def _exit_with_parent() -> None:
+    """Wait on the parent process's sentinel; exit when it dies."""
+    # Imported here: only worker processes need it.
+    from multiprocessing.connection import wait
+
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+    wait([parent.sentinel])
+    os._exit(1)
 
 
 @dataclass

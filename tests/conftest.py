@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.arch.params import PitonConfig
+from repro.experiments import RunContext, get_experiment
 from repro.system import PitonSystem
 from repro.util.events import EventLedger
 
@@ -29,3 +30,24 @@ def ledger() -> EventLedger:
 def shared_system() -> PitonSystem:
     """One default system for read-only measurement tests."""
     return PitonSystem.default(seed=42)
+
+
+@pytest.fixture(scope="session")
+def quick_result():
+    """``quick_result(eid)``: one quick run per experiment per pytest run.
+
+    The golden diffs and the slow shape tests read the same run, so
+    the heavy experiments (fig11, fig13, fig14) are simulated once,
+    not once per reader. Results are shared: readers must not mutate
+    them.
+    """
+    results = {}
+
+    def run(experiment_id: str):
+        if experiment_id not in results:
+            results[experiment_id] = get_experiment(experiment_id)(
+                RunContext(quick=True)
+            )
+        return results[experiment_id]
+
+    return run

@@ -20,6 +20,7 @@ from repro.check.golden import (
     golden_path,
     live_document,
     load_golden,
+    result_document,
     verify_experiments,
     write_golden,
 )
@@ -50,18 +51,21 @@ def test_goldens_have_no_manifest():
         assert doc["experiment_id"] == eid
 
 
+# The live runs come from the shared per-run quick results (see
+# ``quick_result`` in tests/conftest.py), which the slow shape tests
+# read too; ``live_document`` runs the same context.
 @pytest.mark.parametrize("eid", FAST)
-def test_live_run_matches_golden(eid):
+def test_live_run_matches_golden(eid, quick_result):
     golden = load_golden(eid)
-    diffs = diff_documents(golden, live_document(eid))
+    diffs = diff_documents(golden, result_document(quick_result(eid)))
     assert not diffs, f"{eid} drifted from golden:\n" + "\n".join(diffs)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("eid", HEAVY)
-def test_live_run_matches_golden_heavy(eid):
+def test_live_run_matches_golden_heavy(eid, quick_result):
     golden = load_golden(eid)
-    diffs = diff_documents(golden, live_document(eid))
+    diffs = diff_documents(golden, result_document(quick_result(eid)))
     assert not diffs, f"{eid} drifted from golden:\n" + "\n".join(diffs)
 
 

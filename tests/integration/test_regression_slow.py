@@ -10,31 +10,29 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import RunContext
-from repro.experiments import fig11_epi, fig13_scaling, fig14_mt_mc
-from repro.experiments import table7_memory
-
 pytestmark = pytest.mark.slow
 
 
+# Each reads the one shared quick run of its experiment (see
+# ``quick_result`` in tests/conftest.py), shared with the golden diffs.
 @pytest.fixture(scope="module")
-def fig11():
-    return fig11_epi.run(RunContext(quick=True))
-
-
-@pytest.fixture(scope="module")
-def table7():
-    return table7_memory.run(RunContext(quick=True))
+def fig11(quick_result):
+    return quick_result("fig11")
 
 
 @pytest.fixture(scope="module")
-def fig13():
-    return fig13_scaling.run(RunContext(quick=True))
+def table7(quick_result):
+    return quick_result("table7")
 
 
 @pytest.fixture(scope="module")
-def fig14():
-    return fig14_mt_mc.run(RunContext(quick=True))
+def fig13(quick_result):
+    return quick_result("fig13")
+
+
+@pytest.fixture(scope="module")
+def fig14(quick_result):
+    return quick_result("fig14")
 
 
 class TestFig11Shapes:

@@ -357,6 +357,37 @@ def _spawn_daemon(tmp_path, extra_env=None):
     return proc, int(line.strip().rsplit(":", 1)[1])
 
 
+def _proc_state(pid: int) -> str | None:
+    """A process's state letter from ``/proc`` (``None`` once gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    # The command name may hold spaces; the fields follow its ")".
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def _live_descendants(pid: int) -> list[int]:
+    """PIDs of every live (non-zombie) process below ``pid``."""
+    children: dict[int, list[int]] = {}
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if state != "Z":
+            children.setdefault(int(ppid), []).append(int(entry.name))
+    found, frontier = [], [pid]
+    while frontier:
+        kids = children.get(frontier.pop(), [])
+        found.extend(kids)
+        frontier.extend(kids)
+    return found
+
+
 def _strip_volatile(body: bytes) -> dict:
     """Drop the two honest-but-volatile keys (wall clock, cache
     traffic); everything else must be byte-for-byte deterministic."""
@@ -432,6 +463,28 @@ class TestCrashRecovery:
             proc3.wait(timeout=30)
         assert _strip_volatile(recovered_body) == _strip_volatile(
             clean_body
+        )
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="reads Linux /proc"
+    )
+    def test_sigkill_daemon_leaves_no_worker_behind(self, tmp_path):
+        """A worker must not outlive its SIGKILLed daemon: with nobody
+        left to send it work or read its results, it exits."""
+        proc, port = _spawn_daemon(tmp_path)
+        try:
+            _post_async(port, "/v1/sweep", SWEEP_SPEC)
+            workers = _wait(
+                lambda: _live_descendants(proc.pid),
+                what="a worker process of the daemon",
+            )
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        _wait(
+            lambda: all(_proc_state(pid) in (None, "Z") for pid in workers),
+            timeout=10.0,
+            what=f"exit of the killed daemon's workers {workers}",
         )
 
     def test_daemon_kill_injector_fires_and_run_recovers(

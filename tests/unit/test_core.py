@@ -252,6 +252,22 @@ loop:
         engine.run(until_done=True)
         assert engine.memory.read(0x80) == 77
 
+    def test_iterations_count_only_backward_taken_branches(self):
+        src = """
+    set 2, %r1
+    beq %r0, body
+    nop
+body:
+    sub %r1, 1, %r1
+    bne %r1, body
+"""
+        engine, _ = self.run_program(src)
+        stats = engine.cores[0].threads[0].stats
+        # beq jumps forward once, bne jumps back once and falls through.
+        assert stats.branches == 3
+        assert stats.branches_taken == 2
+        assert stats.iterations == 1
+
     def test_rollback_penalty_constant(self):
         assert ROLLBACK_PENALTY == 6  # the 6-stage pipeline depth
 
@@ -331,6 +347,30 @@ class TestMulticoreEngine:
         core = engine.cores[0]
         assert core.stats.cycles == result.cycles
         assert core.stats.stall_cycles >= 70
+
+
+    def test_stalled_core_is_not_stepped(self):
+        """A core whose only thread waits on a divide is not stepped
+        while another core keeps the engine visiting every cycle; the
+        cycles it sits out still count as stall cycles."""
+        engine = MulticoreEngine()
+        slow = engine.add_core(0, [assemble("sdivx %r1, %r2, %r3\nnop")],
+                               init_regs={1: 10, 2: 3})
+        engine.add_core(1, [assemble("\n".join(["add %r1, %r2, %r3"] * 100))])
+        steps = []
+        step = slow.step
+
+        def counting_step(now):
+            steps.append(now)
+            return step(now)
+
+        slow.step = counting_step
+        result = engine.run(until_done=True)
+        assert result.cycles == 100
+        assert steps == [0, 72]  # the sdivx, then the nop 72 cycles on
+        assert slow.stats.cycles == 73
+        assert slow.stats.stall_cycles == 71
+        assert engine.ledger.count("core.stall_cycle") == 71
 
 
 class TestSharedMemory:

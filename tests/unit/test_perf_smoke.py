@@ -3,7 +3,7 @@
 The issue loop is the repo's main cost center; the experiments in
 EXPERIMENTS.md are only practical because it sustains a healthy
 simulated-instructions-per-second rate. This smoke test runs a fixed
-~100k-instruction multicore workload and asserts a deliberately
+409,608-instruction multicore workload and asserts a deliberately
 generous floor — an order of magnitude below current throughput — so
 it only trips on a genuine hot-loop regression (e.g. reintroducing
 per-event ledger hashing or per-cycle opcode lookups), never on CI
@@ -19,13 +19,14 @@ from repro.workloads.base import TileProgram
 from repro.workloads.microbench import PATTERN_A, PATTERN_B, int_program
 
 #: Simulated instructions per wall-clock second the hot loop must beat.
-#: Current throughput is well above 500k/s on commodity hardware.
+#: This workload runs at about 530k/s on a 2-CPU x86-64 VM
+#: (Python 3.11).
 MIN_INSTRUCTIONS_PER_SECOND = 50_000
 
 
 def test_hot_loop_throughput_floor():
-    # 4 cores x 2 threads x ~13k instructions each ~= 100k instructions
-    # of the Int microbenchmark (ALU-heavy, store-buffer active).
+    # 4 cores x 2 threads x 51,201 instructions each = 409,608
+    # instructions of the Int microbenchmark (ALU-heavy).
     iterations = 1_600
     tile = TileProgram(
         programs=[int_program(iterations), int_program(iterations)],
