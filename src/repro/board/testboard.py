@@ -16,7 +16,12 @@ from repro.arch.params import DEFAULT_MEASUREMENT, MeasurementDefaults
 from repro.board.monitor import MeasurementProtocol, RailMeasurement
 from repro.board.psu import BenchSupply
 from repro.power.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.power.chip_power import ChipPowerModel, OperatingPoint, RailPower
+from repro.power.chip_power import (
+    ChipPowerModel,
+    IdleCurve,
+    OperatingPoint,
+    RailPower,
+)
 from repro.silicon.variation import CHIP2, ChipPersona
 from repro.thermal.cooling import STOCK_HEATSINK_FAN, CoolingSetup
 from repro.util.events import EventLedger
@@ -100,7 +105,16 @@ class ExperimentalSystem:
         window_cycles: float | None = None,
     ) -> float:
         """Die temperature once the power-thermal loop settles."""
-        return self._settle(self._activity_power(ledger, window_cycles))
+        return self._settle(
+            self._idle_curve(), self._activity_power(ledger, window_cycles)
+        )
+
+    def _idle_curve(self) -> IdleCurve:
+        """Idle power at the rails' (V, f): fixed while the die
+        temperature settles."""
+        return self.power_model.idle_curve(
+            self.operating_point(self.cooling.ambient_c)
+        )
 
     def _activity_power(
         self,
@@ -120,34 +134,34 @@ class ExperimentalSystem:
             ledger, window_cycles, self.operating_point(self.cooling.ambient_c)
         )
 
-    def _settle(self, activity: RailPower | None) -> float:
+    def _settle(self, curve: IdleCurve, activity: RailPower | None) -> float:
         ambient = self.cooling.ambient_c
         temp = ambient
         for _ in range(100):
-            power = self._true_power(temp, activity).total_w
+            power = self._true_power(curve, temp, activity).total_w
             new_temp = ambient + self.cooling.r_ja * power
             if abs(new_temp - temp) < 0.01:
                 return new_temp
             temp += 0.5 * (new_temp - temp)
         return temp
 
+    @staticmethod
     def _true_power(
-        self, temp_c: float, activity: RailPower | None
+        curve: IdleCurve, temp_c: float, activity: RailPower | None
     ) -> RailPower:
-        power = self.power_model.idle_power(self.operating_point(temp_c))
+        power = curve.rails(temp_c)
         return power if activity is None else power + activity
 
     # ------------------------------------------------------------ measurement
     def measure_static(self) -> RailMeasurement:
         """Inputs and clocks grounded (Table V 'static')."""
         # No clock, (almost) no self-heating: settle at static power.
+        curve = self._idle_curve()
         temp = self.cooling.ambient_c
         for _ in range(50):
-            power = self.power_model.static_power(
-                self.operating_point(temp)
-            ).total_w
+            power = curve.static_rails(temp).total_w
             temp = self.cooling.ambient_c + self.cooling.r_ja * power
-        power = self.power_model.static_power(self.operating_point(temp))
+        power = curve.static_rails(temp)
         return self._protocol.measure_steady(power, self.board.rail_voltages())
 
     def measure_idle(self) -> RailMeasurement:
@@ -161,7 +175,9 @@ class ExperimentalSystem:
     ) -> RailMeasurement:
         """The standard steady-state measurement of a running workload."""
         activity = self._activity_power(ledger, window_cycles)
-        power = self._true_power(self._settle(activity), activity)
+        curve = self._idle_curve()
+        temp = self._settle(curve, activity)
+        power = self._true_power(curve, temp, activity)
         return self._protocol.measure_steady(power, self.board.rail_voltages())
 
     def true_total_power_w(
@@ -172,4 +188,6 @@ class ExperimentalSystem:
         """Noise-free model power at the settled temperature (for
         tests and cross-checks, not for experiment outputs)."""
         activity = self._activity_power(ledger, window_cycles)
-        return self._true_power(self._settle(activity), activity).total_w
+        curve = self._idle_curve()
+        temp = self._settle(curve, activity)
+        return self._true_power(curve, temp, activity).total_w

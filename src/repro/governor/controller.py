@@ -2,11 +2,11 @@
 
 :class:`Governor` wires a policy to the live coupled model: every
 monitor tick it reads the die temperature and the board-measured power,
-lets the policy pick a ladder level, actuates (V, f) if the level
-changed, prices the chip at the new point, and advances the thermal
-network one tick. The resulting :class:`GovernedTrace` carries the
-full sample series plus the ledger totals and the invariant metadata
-(cap, dwell, settle window, disturbance times) that
+lets the policy pick a ladder level, actuates (V, f) and re-prices the
+chip if the level changed, and advances the thermal network one tick.
+The resulting :class:`GovernedTrace` carries the full sample series
+plus the ledger totals and the invariant metadata (cap, dwell, settle
+window, disturbance times) that
 :meth:`repro.check.CheckSuite.check_governor` audits.
 
 Timestamps are computed as ``k / poll_hz`` from the tick index — never
@@ -27,7 +27,8 @@ from repro.thermal.rc_network import ThermalNetwork
 
 #: power(step, die_temp_c, t_s) -> watts: chip + workload at a ladder
 #: point and temperature (the leakage-temperature coupling rides the
-#: temp argument).
+#: temp argument). Must be a pure function of its arguments: the loop
+#: reuses a tick's price when the policy keeps the level.
 PowerFn = Callable[[LadderStep, float, float], float]
 
 #: event(t_s, network) -> None: scenario disturbances applied at tick
@@ -230,7 +231,6 @@ class Governor:
         leakage, so solve the small fixed point first.
         """
         temp = network.ambient_c
-        power = self.power_fn(step, temp, 0.0)
         for _ in range(60):
             power = self.power_fn(step, temp, 0.0)
             new_temp = network.ambient_c + power * network.total_resistance
@@ -288,7 +288,8 @@ class Governor:
             actuated = new_level != level
             level = new_level
             step = self.ladder[level]
-            power = self.power_fn(step, temp, t)
+            # A held level was priced above at this temperature and time.
+            power = self.power_fn(step, temp, t) if actuated else true_now
             network.step(power, dt)
             energy_j += power * dt
             work_cycles += step.freq_hz * dt

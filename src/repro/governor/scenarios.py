@@ -125,6 +125,13 @@ class ScenarioSpec:
             raise ValueError(f"policy {self.policy!r} needs work_gcycles")
         if self.policy == "pace" and self.deadline_s is None:
             raise ValueError("policy 'pace' needs deadline_s")
+        if self.fan_recover_s is not None:
+            if self.fan_fail_s is None:
+                raise ValueError("fan_recover_s needs fan_fail_s")
+            if not self.fan_recover_s > self.fan_fail_s:
+                raise ValueError("fan_recover_s must come after fan_fail_s")
+        if not self.fan_r_factor > 0:
+            raise ValueError("fan_r_factor must be positive")
 
     # ------------------------------------------------------------ derived
     def activity_w(self, t_s: float) -> float:
@@ -157,24 +164,33 @@ T_MODEL_MAX_C = DEFAULT_CALIBRATION.t_max_c + 40.0
 
 
 def build_power_fn(spec: ScenarioSpec) -> PowerFn:
-    """Chip idle power at the rung plus rescaled workload activity."""
+    """Chip idle power at the rung plus rescaled workload activity.
+
+    Each rung's idle curve and activity scale factors are folded on its
+    first use; a tick then prices one curve point and the activity.
+    """
     model = ChipPowerModel(PERSONAS[spec.persona], DEFAULT_CALIBRATION)
     vdd_nom = DEFAULT_CALIBRATION.vdd_nom
+    # step -> (curve's idle watts at a die temperature, f ratio,
+    # VDD ratio squared)
+    rungs: dict[LadderStep, tuple] = {}
 
     def power_w(step: LadderStep, die_temp_c: float, t_s: float) -> float:
-        op = OperatingPoint(
-            vdd=step.vdd,
-            vcs=step.vcs,
-            freq_hz=step.freq_hz,
-            temp_c=min(die_temp_c, T_MODEL_MAX_C),
-        )
-        idle = model.idle_power(op).total_w
-        activity = (
-            spec.activity_w(t_s)
-            * (step.freq_hz / NOMINAL_HZ)
-            * (step.vdd / vdd_nom) ** 2
-        )
-        return idle + activity
+        rung = rungs.get(step)
+        if rung is None:
+            op = OperatingPoint(
+                vdd=step.vdd, vcs=step.vcs, freq_hz=step.freq_hz
+            )
+            curve = model.idle_curve(op)
+            rung = rungs[step] = (
+                curve.total_w,
+                step.freq_hz / NOMINAL_HZ,
+                (step.vdd / vdd_nom) ** 2,
+            )
+        idle_w, f_ratio, v_ratio2 = rung
+        return idle_w(min(die_temp_c, T_MODEL_MAX_C)) + (
+            spec.activity_w(t_s) * f_ratio
+        ) * v_ratio2
 
     return power_w
 

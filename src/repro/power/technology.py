@@ -14,25 +14,17 @@ explain its measurements:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from repro.power.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.silicon.variation import ChipPersona, TYPICAL
 
 
-@lru_cache(maxsize=16384)
 def leakage_scale(
     vdd: float,
     temp_c: float,
     calib: Calibration = DEFAULT_CALIBRATION,
 ) -> float:
-    """Multiplier on nominal static power at (vdd, temp).
-
-    Memoized: grid loops evaluate the same (vdd, temp, calib) triple
-    once per sweep point, and ``exp`` of a fixed float expression is a
-    pure function, so caching is bit-identical to recomputation
-    (proven in ``tests/unit/test_power_memo.py``).
-    """
+    """Multiplier on nominal static power at (vdd, temp)."""
     dv = vdd - calib.vdd_nom
     dt = temp_c - calib.t_ref_c
     exponent = calib.leak_per_volt * dv + calib.leak_per_degc * dt
@@ -52,7 +44,9 @@ def static_power_w(
 
     The SRAM rail tracks VDD in every paper experiment
     (VCS = VDD + 0.05); its leakage uses its own voltage but the same
-    exponential coefficients.
+    exponential coefficients. The simulator prices static power through
+    :class:`repro.power.chip_power.IdleCurve`, which folds this
+    relation per operating point and must match it bit for bit.
     """
     total_nom = calib.static_total_w * persona.leak
     vdd_part = total_nom * calib.static_vdd_frac * leakage_scale(

@@ -68,15 +68,13 @@ class VfCurve:
         d(P)/dT * R_ja << 1 in the stable region; iterate to tolerance
         and cap the runaway case at a sentinel above t_max.
         """
+        curve = self.power_model.idle_curve(
+            OperatingPoint(vdd=vdd, vcs=vcs, freq_hz=freq_hz)
+        )
+        boot_w = self.BOOT_ACTIVITY_W * (vdd / self.calib.vdd_nom) ** 2
         temp = self.ambient_c
         for _ in range(60):
-            op = OperatingPoint(
-                vdd=vdd, vcs=vcs, freq_hz=freq_hz, temp_c=temp
-            )
-            power = (
-                self.power_model.idle_power(op).total_w
-                + self.BOOT_ACTIVITY_W * (vdd / self.calib.vdd_nom) ** 2
-            )
+            power = curve.total_w(temp) + boot_w
             new_temp = self.ambient_c + self.calib.r_theta_ja * power
             if abs(new_temp - temp) < 0.01:
                 return new_temp

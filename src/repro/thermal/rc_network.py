@@ -35,9 +35,12 @@ class ThermalNetwork:
     def __init__(self, stages: Sequence[RcStage], ambient_c: float = 25.0):
         if not stages:
             raise ValueError("need at least one stage")
+        #: Swap a stage only through :meth:`set_stage_resistance`, which
+        #: rebuilds the coefficients :meth:`step` reads.
         self.stages = list(stages)
         self.ambient_c = ambient_c
         self.temps = [ambient_c] * len(stages)
+        self._cache_coefficients()
         #: Largest die power ever applied; the boundedness checker
         #: derives its temperature ceiling from this watermark.
         self.power_peak_w = 0.0
@@ -66,6 +69,29 @@ class ThermalNetwork:
         self.stages[index] = RcStage(
             stage.name, r_c_per_w, stage.c_j_per_c
         )
+        self._cache_coefficients()
+
+    def _cache_coefficients(self) -> None:
+        """Read the stages into the lists :meth:`step` uses, and find
+        the Euler stability bound.
+
+        Explicit-Euler stability is set by each node's *effective*
+        time constant: its capacity over the total conductance
+        attached to it (own R downstream plus the upstream stage's R
+        coupling heat in), not by the stage's own R*C alone.
+        """
+        self._r = [stage.r_c_per_w for stage in self.stages]
+        self._c = [stage.c_j_per_c for stage in self.stages]
+        taus = []
+        for i, stage in enumerate(self.stages):
+            g = 1.0 / stage.r_c_per_w
+            if i > 0:
+                g += 1.0 / self.stages[i - 1].r_c_per_w
+            taus.append(stage.c_j_per_c / g)
+        self._min_tau = min(taus)
+        # (dt_s, substeps, substep length) of the last step; None
+        # until a step runs on these stages.
+        self._substep_cache: tuple[float, int, float] | None = None
 
     def steady_state(self, power_w: float) -> list[float]:
         """Node temperatures once everything settles at ``power_w``."""
@@ -87,36 +113,37 @@ class ThermalNetwork:
     def step(self, power_w: float, dt_s: float) -> float:
         """Advance the network ``dt_s`` seconds with ``power_w`` at the
         die node; returns the new die temperature. Uses forward Euler
-        with internal sub-stepping for stability."""
+        with internal sub-stepping for stability.
+
+        The substep count for ``dt_s`` is worked out on the first step
+        of a given length and kept until ``dt_s`` changes or
+        :meth:`set_stage_resistance` swaps a stage.
+        """
         if dt_s <= 0:
             raise ValueError("dt must be positive")
         self.power_peak_w = max(self.power_peak_w, power_w)
-        # Explicit-Euler stability is set by each node's *effective*
-        # time constant: its capacity over the total conductance
-        # attached to it (own R downstream plus the upstream stage's R
-        # coupling heat in), not by the stage's own R*C alone.
-        taus = []
-        for i, stage in enumerate(self.stages):
-            g = 1.0 / stage.r_c_per_w
-            if i > 0:
-                g += 1.0 / self.stages[i - 1].r_c_per_w
-            taus.append(stage.c_j_per_c / g)
-        min_tau = min(taus)
-        substeps = max(1, int(dt_s / (0.1 * min_tau)) + 1)
-        h = dt_s / substeps
-        n = len(self.stages)
+        cached = self._substep_cache
+        if cached is None or cached[0] != dt_s:
+            substeps = max(1, int(dt_s / (0.1 * self._min_tau)) + 1)
+            cached = self._substep_cache = (dt_s, substeps, dt_s / substeps)
+        _, substeps, h = cached
+        r = self._r
+        c = self._c
+        last = len(r) - 1
+        ambient = self.ambient_c
+        temps = self.temps
         for _ in range(substeps):
-            flows = []
-            for i, stage in enumerate(self.stages):
-                downstream = (
-                    self.temps[i + 1] if i + 1 < n else self.ambient_c
-                )
-                flows.append((self.temps[i] - downstream) / stage.r_c_per_w)
-            new_temps = list(self.temps)
-            for i, stage in enumerate(self.stages):
-                inflow = power_w if i == 0 else flows[i - 1]
-                new_temps[i] += h * (inflow - flows[i]) / stage.c_j_per_c
-            self.temps = new_temps
+            # Every flow comes from the temperatures before the substep:
+            # ``temps`` is read while ``new_temps`` is built.
+            new_temps = []
+            inflow = power_w
+            for i, temp in enumerate(temps):
+                downstream = temps[i + 1] if i < last else ambient
+                outflow = (temp - downstream) / r[i]
+                new_temps.append(temp + h * (inflow - outflow) / c[i])
+                inflow = outflow
+            temps = new_temps
+        self.temps = temps
         if self.checker is not None:
             self.checker.check_thermal(self)
         return self.die_temp_c

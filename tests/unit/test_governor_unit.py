@@ -40,6 +40,7 @@ from repro.governor import (
     run_scenario,
     vf_ladder,
 )
+from repro.governor.scenarios import COOLING_SETUPS, build_fan_event
 
 
 # ------------------------------------------------------- shared poll rate
@@ -211,6 +212,40 @@ class TestGovernedTrace:
     def test_settle_window(self, short_trace):
         assert short_trace.in_settle_window(0.5)
         assert not short_trace.in_settle_window(10.0)
+
+
+# ------------------------------------------------------------- fan events
+def test_fan_events_must_be_able_to_happen():
+    fan = dict(name="fan", policy="static", cooling="camera")
+    for bad in (
+        dict(fan_recover_s=50.0),  # recovery without a failure
+        dict(fan_fail_s=100.0, fan_recover_s=50.0),  # would never fail
+        dict(fan_fail_s=100.0, fan_recover_s=100.0),
+        dict(fan_fail_s=100.0, fan_r_factor=0.0),
+        dict(fan_fail_s=100.0, fan_recover_s=200.0, fan_r_factor=-2.0),
+        dict(fan_r_factor=0.0),
+    ):
+        with pytest.raises(ValueError):
+            ScenarioSpec(**fan, **bad)
+
+    spec = ScenarioSpec(
+        **fan, fan_fail_s=100.0, fan_recover_s=200.0, fan_r_factor=2.5
+    )
+    assert spec.disturbance_times() == (100.0, 200.0)
+    cooling = COOLING_SETUPS[spec.cooling]
+    base_r = cooling.stages[-1].r_c_per_w
+    network = cooling.network()
+    event = build_fan_event(spec, cooling)
+    for t_s, want_r in (
+        (0.0, base_r),
+        (99.9, base_r),
+        (100.0, base_r * 2.5),
+        (150.0, base_r * 2.5),
+        (200.0, base_r),
+        (300.0, base_r),
+    ):
+        event(t_s, network)
+        assert network.stages[-1].r_c_per_w == want_r, t_s
 
 
 # ------------------------------------------------- checker + fault coverage

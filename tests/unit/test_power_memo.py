@@ -1,15 +1,18 @@
 """Memoized power-model hot spots are bit-identical to recomputation.
 
-``leakage_scale`` and the V/f boot-point solve are pure functions of
-hashable inputs, so ``functools.lru_cache`` may serve them from cache
-only if the cached value equals a fresh computation *bitwise* — any
-drift would silently corrupt every sweep. These tests compare the
-cached wrappers against their own ``__wrapped__`` originals (the exact
-pre-memoization code paths) and prove the caches actually engage.
+The V/f boot-point solve is a pure function of hashable inputs, so
+``functools.lru_cache`` may serve it from cache only if the cached
+value equals a fresh solve *bitwise* — any drift would silently corrupt
+every sweep. These tests compare the cache against the direct solve
+and prove it engages. ``leakage_scale`` is not memoized (the simulator
+prices static power through the folded idle curve); its tests check
+that it tells calibrations apart and that the static relation built on
+it is repeatable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 from repro.power.calibration import DEFAULT_CALIBRATION
@@ -18,28 +21,9 @@ from repro.power.vf_curve import VfCurve, _cached_boot_point
 from repro.silicon.variation import CHIP1, CHIP2, TYPICAL
 
 VDD_GRID = [0.75, 0.85, 0.9, 1.0, 1.05, 1.1, 1.2]
-TEMP_GRID = [25.0, 45.0, 60.0, 85.0]
 
 
 class TestLeakageScaleMemo:
-    def test_bit_identical_to_uncached(self):
-        for vdd in VDD_GRID:
-            for temp in TEMP_GRID:
-                cached = leakage_scale(vdd, temp)
-                fresh = leakage_scale.__wrapped__(
-                    vdd, temp, DEFAULT_CALIBRATION
-                )
-                assert cached == fresh  # exact, no tolerance
-
-    def test_cache_engages_on_repeat_lookups(self):
-        leakage_scale.cache_clear()
-        for _ in range(3):
-            for vdd in VDD_GRID:
-                leakage_scale(vdd, 45.0)
-        info = leakage_scale.cache_info()
-        assert info.misses == len(VDD_GRID)
-        assert info.hits == 2 * len(VDD_GRID)
-
     def test_distinct_calibrations_get_distinct_entries(self):
         hot = replace(
             DEFAULT_CALIBRATION,
@@ -50,11 +34,14 @@ class TestLeakageScaleMemo:
         a = leakage_scale(1.1, 60.0, DEFAULT_CALIBRATION)
         b = leakage_scale(1.1, 60.0, hot)
         assert a != b
-        assert b == leakage_scale.__wrapped__(1.1, 60.0, hot)
+        assert b == math.exp(
+            hot.leak_per_volt * (1.1 - hot.vdd_nom)
+            + hot.leak_per_degc * (60.0 - hot.t_ref_c)
+        )
 
     def test_static_power_unchanged_through_cache(self):
-        # static_power_w routes its VDD share through the memoized
-        # leakage_scale; the composite stays exact too.
+        # static_power_w is a pure function: repeated calls agree
+        # exactly.
         for vdd in VDD_GRID:
             got = static_power_w(vdd, vdd + 0.05, 45.0)
             again = static_power_w(vdd, vdd + 0.05, 45.0)
