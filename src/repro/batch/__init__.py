@@ -1,4 +1,4 @@
-"""Batched multi-persona execution: one decode, N accumulations.
+"""Batch planning: which grid points can share one simulation.
 
 Sweep-style experiments (V/f curves, EPI tables, scaling studies) are
 grids whose points often share the *same* architectural simulation:
@@ -10,7 +10,7 @@ memory instructions can never invoke. Re-simulating such points once
 per grid cell redoes identical fetch/decode/dispatch work N times just
 to accumulate the same event counts under different energy weights.
 
-This package exploits that structure:
+This package decides which points coalesce:
 
 * :mod:`repro.batch.key` — :func:`batch_key` folds a request down to
   its *timing class*: everything the simulation actually reads. Two
@@ -19,23 +19,15 @@ This package exploits that structure:
   batch key, with de-batch accounting (points that share a workload
   but differ in timing fall back to their own singleton groups —
   never wrong answers, only missed coalescing).
-* :mod:`repro.batch.accumulate` — :class:`LedgerMatrix` holds the
-  per-lane (persona/grid-point) event-count and activity-weight
-  accumulations in a numpy structured array, with a pure-python
-  fallback when numpy is unavailable.
-* :mod:`repro.batch.execute` — :func:`batched_simulate` walks each
-  group's instruction stream once and fans the outcome back out to
-  every member, integrating with the supervised pool and the
-  checkpoint journal so ``--jobs`` and ``--resume`` compose.
 
-The determinism machinery elsewhere in the repo (goldens,
+The grid executor (:func:`repro.experiments.parallel.batched_simulate`)
+simulates one representative per group and copies its outcome to every
+member. The determinism machinery elsewhere in the repo (goldens,
 ``repro verify``, checks-on bit-identity, parallel-determinism tests)
 is the safety net: batched output is bit-identical to serial by
 construction, and the tests prove it stays that way.
 """
 
-from repro.batch.accumulate import LedgerMatrix, numpy_backend_available
-from repro.batch.execute import batched_simulate, replicate_outcome
 from repro.batch.key import (
     BatchKey,
     affinity_key,
@@ -48,12 +40,8 @@ __all__ = [
     "BatchGroup",
     "BatchKey",
     "BatchPlan",
-    "LedgerMatrix",
     "affinity_key",
     "batch_key",
-    "batched_simulate",
-    "numpy_backend_available",
     "plan_batches",
-    "replicate_outcome",
     "workload_can_touch_memory",
 ]

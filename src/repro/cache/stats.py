@@ -19,12 +19,6 @@ class CacheStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
-
     def merge(self, other: "CacheStats") -> None:
         self.hits += other.hits
         self.misses += other.misses

@@ -12,7 +12,7 @@ its I/O devices set the system-level behaviour the SPEC study sees
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.params import PitonConfig, SystemClocks
 from repro.chip.dram import DramModel
@@ -72,23 +72,3 @@ class Chipset:
             ) from None
         self.ledger.record(f"io.{device}_transfer", max(1, num_bytes // 512))
         return dev.access_latency_s + num_bytes / dev.bandwidth_bytes_per_s
-
-
-@dataclass
-class SystemDescription:
-    """Static facts for the Table VIII comparison."""
-
-    operating_system: str = "Debian Sid Linux"
-    kernel: str = "4.9"
-    memory_type: str = "DDR3-1866 (run at 1600 MT/s)"
-    memory_bytes: int = 1 * 1024**3
-    memory_data_bits: int = 32
-    memory_latency_ns: float = 848.0
-    storage: str = "SD Card"
-    processor: str = "Piton"
-    clock_hz: float = 500.05e6
-    cores: int = 25
-    threads_per_core: int = 2
-    l2_bytes: int = 1_638_400
-    l2_latency_ns_range: tuple[float, float] = (68.0, 108.0)
-    notes: dict[str, str] = field(default_factory=dict)

@@ -34,14 +34,6 @@ INTERCHIP_CROSSING_CYCLES = 5 + 39 + 9 + 11
 TRANSACTION_FLITS = 6
 
 
-@dataclass(frozen=True)
-class SocketCoord:
-    """Position of a chip in the multi-socket array."""
-
-    x: int
-    y: int
-
-
 @dataclass
 class MultiChipTopology:
     """An WxH array of Piton chips joined by their chip bridges."""

@@ -162,12 +162,12 @@ class RunContext:
         """The supervised-execution config this context implies.
 
         ``None`` — the common library default (serial, no resume, no
-        checkpoint dir) — keeps :func:`~repro.experiments.parallel.
-        parallel_simulate` on its historical zero-cost path. Anything
-        that fans out, resumes, or journals gets a
-        :class:`~repro.resilience.Supervision` carrying the retry
-        policy, the (possibly resumed) checkpoint journal, and this
-        context's tracer for the retry/resume counters.
+        checkpoint dir) — runs :func:`~repro.experiments.parallel.
+        parallel_simulate` under the default policy with no journal
+        and no counters. Anything that fans out, resumes, or journals
+        gets a :class:`~repro.resilience.Supervision` carrying the
+        retry policy, the (possibly resumed) checkpoint journal, and
+        this context's tracer for the retry/resume counters.
         """
         wants_journal = (
             self.checkpoint_dir is not None or self.resume

@@ -164,8 +164,6 @@ def run(ctx: RunContext, cores: int | None = None) -> ExperimentResult:
         epis: dict[OperandPolicy, Measurement] = {}
         latency = 0
         for policy in policies:
-            # Pull the outcome first: on the serial path this triggers
-            # the deferred build+simulate that fills ``tests``.
             outcome = next(outcomes)
             epis[policy], latency = _epi_from_outcome(
                 system,

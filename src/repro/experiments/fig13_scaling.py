@@ -77,9 +77,7 @@ def run(ctx: RunContext) -> ExperimentResult:
     )
 
     # Simulations fan out across workers; measurements replay serially
-    # in grid order, so the result is identical for any ``jobs``. The
-    # request stream is a generator: the serial path builds and
-    # simulates each point only as its measurement comes due.
+    # in grid order, so the result is identical for any ``jobs``.
     requests = (
         system.sim_request(
             build_workload(

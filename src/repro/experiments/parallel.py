@@ -1,4 +1,4 @@
-"""Fan independent simulation points across a supervised worker pool.
+"""Run a grid of simulation points through one supervised executor.
 
 The experiments in this package are grids of independent measurement
 points (VDD values, core counts, thread counts, instruction classes).
@@ -13,81 +13,36 @@ results to a serial run by construction:
 
 1. build every point's ``SimRequest`` in the experiment's original
    iteration order;
-2. fan the requests out with :func:`parallel_simulate` (results come
-   back in submission order, whatever order workers finish in);
+2. simulate them with :func:`parallel_simulate` (outcomes come back
+   in request order, whatever order workers finish in);
 3. replay the measurements serially, in the parent process, in the
    original order, via :meth:`PitonSystem.measure_outcome`.
 
-With ``jobs <= 1`` everything runs in-process (and the simulation
-engines stay attached to the outcomes); with ``jobs > 1`` the
-simulations run on a :class:`~repro.resilience.SupervisedPool`, which
-detects crashed and hung workers, retries their points with backoff,
-and keeps one poisoned point from killing the grid. Passing a
-:class:`~repro.resilience.Supervision` adds checkpoint journaling: each
-completed outcome is appended to a CRC-checked journal the moment it
-exists, and a resumed run loads journaled points instead of
-re-simulating them — the measurement replay still walks the full grid
-in order, so resumed results are bit-identical to uninterrupted ones.
+Every grid runs through one executor, :func:`batched_simulate`, over
+groups of grid indices: timing classes with ``batch=True`` (see
+:mod:`repro.batch`), one point per group otherwise. It serves
+journaled points back on resume, asks the surrogate tier, simulates
+one representative per remaining group on a
+:class:`~repro.resilience.SupervisedPool` (in-process for
+``jobs <= 1``; crashed and hung workers are retried), copies each
+outcome to its group's members, and journals every completed point the
+moment it exists. The measurement replay still walks the full grid in
+order, so resumed and batched results are bit-identical to serial ones.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterable,
-    Iterator,
-    Sequence,
-    TypeVar,
-)
+from dataclasses import replace
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from repro.batch import batched_simulate, plan_batches
-from repro.batch.execute import _simulate_stripped
+from repro.batch import plan_batches
 from repro.obs.trace import Tracer
 from repro.resilience import Supervision, SupervisedPool, request_digest
-from repro.system import SimOutcome, SimRequest
+from repro.system import SimOutcome, SimRequest, run_simulation
+from repro.util.events import EventLedger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.surrogate.dispatch import FidelityPolicy
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def parallel_map(
-    fn: Callable[[T], R], items: Sequence[T], jobs: int = 1
-) -> list[R]:
-    """``[fn(x) for x in items]``, optionally across a process pool.
-
-    Results always come back in submission order (``Pool.map``
-    preserves it). ``fn`` must be a module-level function and ``items``
-    picklable when ``jobs > 1``.
-
-    A completed ``map`` drains the pool gracefully (``close()`` +
-    ``join()``): idle workers exit on their own instead of eating a
-    ``SIGTERM``, which matters because CLI runs install signal
-    handlers that forked workers inherit — terminating a healthy pool
-    would make every worker die raising ``GridInterrupted`` to
-    stderr. A ``map`` that *raises* is torn down with an explicit
-    ``terminate()`` + ``join()``: relying on ``Pool.__exit__`` alone
-    leaks worker processes when a ``KeyboardInterrupt`` lands
-    mid-``map`` (the interrupted main thread can abandon the pool's
-    internal machinery before ``__exit__``'s cleanup runs to
-    completion).
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    pool = multiprocessing.Pool(min(jobs, len(items)))
-    try:
-        results = pool.map(fn, items)
-    except BaseException:
-        pool.terminate()
-        pool.join()
-        raise
-    pool.close()
-    pool.join()
-    return results
 
 
 def parallel_simulate(
@@ -100,42 +55,30 @@ def parallel_simulate(
 ) -> Iterator[SimOutcome]:
     """Run every request, yielding outcomes in request order.
 
-    With ``jobs <= 1`` this is fully lazy: each request is built (when
-    ``requests`` is a generator) and simulated only when its outcome is
-    consumed, so a serial experiment interleaves simulation with its
-    measurement replay and never holds the whole grid in memory — the
-    exact behavior of the pre-parallel code. With ``jobs > 1`` the
-    requests are materialized and fanned across a
-    :class:`~repro.resilience.SupervisedPool` (results are collected
-    in submission order, whatever order workers finish in).
+    The requests are materialized, grouped, and handed to
+    :func:`batched_simulate`; the whole grid is simulated before the
+    first outcome is yielded. ``jobs > 1`` fans the simulations across
+    a :class:`~repro.resilience.SupervisedPool`.
 
     ``supervision`` configures failure handling: its
     :class:`~repro.resilience.RetryPolicy` bounds retries and
     deadlines, its journal (if any) checkpoints each completed outcome
     and serves journaled points back on resume, and its tracer records
-    the retry/timeout/resume counters. With ``supervision=None`` the
-    pool runs under the default policy and nothing is journaled; the
-    serial path is then byte-for-byte the historical one (zero cost
-    when idle).
-
-    Engines are stripped on both paths: grid experiments read only
-    ledgers and counters.
+    the retry/timeout/resume counters. ``supervision=None`` runs under
+    the default policy with nothing journaled or counted.
 
     An enabled ``tracer`` receives each point's build/simulate wall
     times (stamped on the outcome by :func:`~repro.system.run_simulation`,
     so they survive the pickle back from pool workers) as outcomes are
-    consumed, in submission order. Telemetry reads finished outcomes
+    consumed, in request order. Telemetry reads finished outcomes
     only — it cannot perturb simulation results.
 
-    ``batch=True`` coalesces grid points that share a timing class
-    (see :mod:`repro.batch`) into one simulation each: the
-    representative request runs once and its outcome is replicated to
-    every member, bit-identically — the simulator is a pure function
-    of the request, and the batch key covers everything it reads.
-    Batching materializes the request stream up front (the plan needs
-    the whole grid); when nothing coalesces, execution falls straight
-    through to the historical paths below at zero extra cost beyond
-    the planning pass.
+    ``batch=True`` groups the grid by timing class (see
+    :mod:`repro.batch`): each class's representative runs once and
+    its outcome is copied to every member, bit-identically — the
+    simulator is a pure function of the request, and the batch key
+    covers everything it reads. ``batch=False`` makes every point its
+    own group.
 
     ``fidelity`` routes points through the two-tier dispatcher
     (:mod:`repro.surrogate`): points a calibrated profile can serve
@@ -144,14 +87,13 @@ def parallel_simulate(
     clocks, checked runs — falls back to the simulator, with
     ``surrogate_hits``/``surrogate_fallbacks`` counted on the policy's
     tracer. ``fidelity=None`` (the default, and all of ``--tier sim``)
-    is byte-for-byte the historical cycle-level behavior, except that
-    journaled *surrogate* points from an earlier ``auto``/``fast`` run
-    are re-simulated rather than silently reused.
+    is the cycle-level simulator for every point, and journaled
+    *surrogate* points from an earlier ``auto``/``fast`` run are
+    re-simulated rather than silently reused.
     """
-    journal = supervision.journal if supervision is not None else None
+    requests = list(requests)
     if batch:
-        materialized = list(requests)
-        plan = plan_batches(materialized)
+        plan = plan_batches(requests)
         stats_tracer = tracer
         if stats_tracer is None and supervision is not None:
             stats_tracer = supervision.tracer
@@ -165,99 +107,142 @@ def parallel_simulate(
                 stats_tracer.count(
                     "batch_debatch_events", plan.debatch_events
                 )
-        if plan.points_coalesced > 0:
-            outcomes = batched_simulate(
-                materialized,
-                plan,
-                jobs=jobs,
-                supervision=supervision,
-                fidelity=fidelity,
-            )
-            if tracer is None or not tracer.enabled:
-                return outcomes
-            return _record_points(outcomes, tracer)
-        requests = materialized
-    if fidelity is not None:
-        simulate_one: Callable[[SimRequest], SimOutcome] = (
-            lambda request: fidelity.predict(request)
-            or _simulate_stripped(request)
-        )
+        groups = [group.indices for group in plan.groups]
     else:
-        simulate_one = _simulate_stripped
-    if jobs <= 1 and journal is None:
-        # The historical zero-cost serial path: fully lazy, nothing
-        # supervised (an in-process failure is deterministic — a
-        # retry would fail identically).
-        outcomes: Iterator[SimOutcome] = map(simulate_one, requests)
-    else:
-        materialized = list(requests)
-        if len(materialized) <= 1 and journal is None:
-            outcomes = map(simulate_one, materialized)
-        else:
-            outcomes = _run_supervised(
-                materialized, jobs, supervision, fidelity
-            )
+        groups = [(index,) for index in range(len(requests))]
+    outcomes = batched_simulate(
+        requests,
+        groups,
+        jobs=jobs,
+        supervision=supervision,
+        fidelity=fidelity,
+    )
     if tracer is None or not tracer.enabled:
         return outcomes
     return _record_points(outcomes, tracer)
 
 
-def _run_supervised(
+def _simulate_stripped(request: SimRequest) -> SimOutcome:
+    """Pool/worker entry point: simulate, drop the engine.
+
+    Grid experiments read only ledgers and counters, and an engine
+    does not travel back across the process boundary anyway.
+    """
+    outcome = run_simulation(request)
+    outcome.engine = None
+    return outcome
+
+
+def replicate_outcome(outcome: SimOutcome, n: int) -> list[SimOutcome]:
+    """Fan one group outcome out to ``n`` independent member outcomes.
+
+    Member 0 is the representative's outcome itself. Members 1..n-1
+    each get a fresh ledger holding the same counts and weights in the
+    representative's event order (pricing sums floats in that order),
+    their own result and checker-count copies, and zeroed wall times
+    (their simulation cost was amortized into the representative's —
+    telemetry reports wall-clock actually spent, not wall-clock
+    saved). Downstream measurement, checking, and journaling treat
+    each point as if it had been simulated alone.
+    """
+    members = [outcome]
+    for _ in range(1, n):
+        ledger = EventLedger()
+        for name, value in outcome.ledger.counts.items():
+            ledger.counts[name] = value
+            ledger.weights[name] = outcome.ledger.weights[name]
+        members.append(
+            replace(
+                outcome,
+                ledger=ledger,
+                result=replace(outcome.result),
+                engine=None,
+                build_wall_s=0.0,
+                sim_wall_s=0.0,
+                check_counts=(
+                    dict(outcome.check_counts)
+                    if outcome.check_counts is not None
+                    else None
+                ),
+            )
+        )
+    return members
+
+
+def batched_simulate(
     requests: Sequence[SimRequest],
-    jobs: int,
-    supervision: Supervision | None,
+    groups: Sequence[tuple[int, ...]],
+    jobs: int = 1,
+    supervision: Supervision | None = None,
     fidelity: "FidelityPolicy | None" = None,
 ) -> Iterator[SimOutcome]:
-    """Run a materialized grid under supervision (and/or a journal).
+    """Simulate a grid group-wise, yielding outcomes in grid order.
 
-    Journaled points (on resume) never reach the pool; the rest run
-    supervised — across workers for ``jobs > 1``, in-process for a
-    serial journaled run — each appended to the journal the moment it
-    completes, so an interrupt at any point loses only in-flight work.
+    ``groups`` partitions the grid indices; every member of a group
+    must share its first member's simulation. Walking the groups in
+    order, each member is served from the journal (on resume) or the
+    surrogate when possible; the first still-missing member of each
+    group is simulated on a :class:`~repro.resilience.SupervisedPool`
+    under the supervision's retry/deadline policy, and its outcome is
+    copied to the group's other missing members.
 
-    Tier-awareness composes at the same per-point seam: a journaled
-    outcome must satisfy the active fidelity policy to be reused (a
-    surrogate point is re-simulated when cycle-level fidelity is
-    requested, counted as ``points_tier_rejected``), and points the
-    surrogate serves are journaled exactly like simulated ones.
-
-    The journal is retired once the consumer has received the final
-    outcome (tracked in the ``finally``: the generator knows the last
-    index it yielded even when the consumer stops calling ``next``
-    afterwards). A consumer that abandons the grid mid-way — an
-    interrupt unwinding through the measurement replay — leaves every
-    completed point on disk for ``--resume``.
+    A journaled outcome is only reused when ``fidelity``'s tier
+    accepts it (no silent surrogate reuse under ``--tier sim``;
+    counted as ``points_tier_rejected``). Every completed point is
+    appended to the journal under its own ``(index, request digest)``
+    the moment it exists, so the journal format never learns about
+    batching and an interrupt loses only in-flight work. The journal
+    is retired once the consumer has received the final outcome; a
+    consumer that abandons the grid mid-way — an interrupt unwinding
+    through the measurement replay — leaves every completed point on
+    disk for ``--resume``.
     """
     from repro.surrogate.dispatch import accepts_cached_outcome
 
-    supervision = supervision if supervision is not None else Supervision()
+    supervision = (
+        supervision if supervision is not None else Supervision()
+    )
     journal = supervision.journal
     count = supervision.tracer.count
-    digests = [request_digest(request) for request in requests]
+    digests = (
+        [request_digest(request) for request in requests]
+        if journal is not None
+        else []
+    )
+
     outcomes: dict[int, SimOutcome] = {}
-    todo: list[int] = []
-    for index, digest in enumerate(digests):
-        cached = journal.get(index, digest) if journal is not None else None
-        if cached is not None and not accepts_cached_outcome(
-            cached, fidelity
-        ):
-            count("points_tier_rejected")
-            cached = None
-        if cached is not None:
-            outcomes[index] = cached
-            count("points_resumed")
-            continue
-        predicted = (
-            fidelity.predict(requests[index])
-            if fidelity is not None
-            else None
-        )
-        if predicted is not None:
-            outcomes[index] = predicted
+    #: Missing-member index lists, one per group still needing its
+    #: representative simulated (resume may have filled some or all
+    #: members of a group from the journal, and the surrogate may
+    #: have served others).
+    todo: list[list[int]] = []
+    for group in groups:
+        missing: list[int] = []
+        for index in group:
             if journal is not None:
-                journal.append(index, digest, predicted)
-            continue
-        todo.append(index)
+                cached = journal.get(index, digests[index])
+                if cached is not None and not accepts_cached_outcome(
+                    cached, fidelity
+                ):
+                    count("points_tier_rejected")
+                    cached = None
+                if cached is not None:
+                    outcomes[index] = cached
+                    count("points_resumed")
+                    continue
+            predicted = (
+                fidelity.predict(requests[index])
+                if fidelity is not None
+                else None
+            )
+            if predicted is not None:
+                outcomes[index] = predicted
+                if journal is not None:
+                    journal.append(index, digests[index], predicted)
+                continue
+            missing.append(index)
+        if missing:
+            todo.append(missing)
     if journal is not None:
         journal.write_meta(
             experiment_id=supervision.experiment_id,
@@ -265,10 +250,14 @@ def _run_supervised(
         )
 
     def on_result(todo_index: int, outcome: SimOutcome) -> None:
-        index = todo[todo_index]
-        outcomes[index] = outcome
-        if journal is not None:
-            journal.append(index, digests[index], outcome)
+        members = todo[todo_index]
+        replicas = replicate_outcome(outcome, len(members))
+        if len(members) > 1:
+            count("batch_points_replicated", len(members) - 1)
+        for index, replica in zip(members, replicas):
+            outcomes[index] = replica
+            if journal is not None:
+                journal.append(index, digests[index], replica)
 
     pool = SupervisedPool(
         _simulate_stripped,
@@ -276,13 +265,18 @@ def _run_supervised(
         policy=supervision.policy,
         tracer=supervision.tracer,
     )
-    pool.map([requests[i] for i in todo], on_result=on_result)
+    pool.map(
+        [requests[missing[0]] for missing in todo],
+        on_result=on_result,
+    )
 
     def emit() -> Iterator[SimOutcome]:
         index = -1
         try:
             for index in range(len(requests)):
-                yield outcomes[index]
+                # pop: each member's outcome is handed over exactly
+                # once, freeing the grid as the consumer walks it.
+                yield outcomes.pop(index)
         finally:
             # Runs on exhaustion *and* when the consumer drops the
             # iterator; the journal is done only if the final point

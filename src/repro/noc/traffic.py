@@ -106,12 +106,6 @@ class TrafficStats:
     peak_latency: int
     flit_hops: int
 
-    @property
-    def throughput_packets_per_cycle(self) -> float:
-        if self.cycles == 0:
-            return 0.0
-        return self.delivered / self.cycles
-
 
 def drive(
     pairs: list[tuple[int, int]],

@@ -95,13 +95,3 @@ def fmax_hz(
 
     scale = calib.fmax_ref_hz / shape(calib.fmax_ref_vdd)
     return persona.speed * scale * shape(vdd)
-
-
-def voltage_scale_core(
-    vdd: float, vcs: float, vdd_frac: float, calib: Calibration
-) -> float:
-    """Quadratic voltage scaling of a core-rail event's energy,
-    blending the VDD and VCS shares."""
-    s_vdd = (vdd / calib.vdd_nom) ** 2
-    s_vcs = (vcs / calib.vcs_nom) ** 2
-    return vdd_frac * s_vdd + (1.0 - vdd_frac) * s_vcs

@@ -22,7 +22,6 @@ from repro.power.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.power.chip_power import ChipPowerModel, OperatingPoint
 from repro.silicon.variation import ChipPersona, TYPICAL
 from repro.power.technology import fmax_hz
-from repro.util.events import EventLedger
 
 #: PLL reference quantum: the reference clock steps the gateway FPGA
 #: can synthesize land the core clock on a ~7.15 MHz grid (the default
@@ -137,8 +136,3 @@ def _cached_boot_point(
     persona: ChipPersona, calib: Calibration, ambient_c: float, vdd: float
 ) -> VfPoint:
     return VfCurve(persona, calib, ambient_c)._solve_boot_frequency(vdd)
-
-
-def idle_ledger() -> EventLedger:
-    """An empty ledger: the chip doing nothing (for idle sweeps)."""
-    return EventLedger()

@@ -21,8 +21,8 @@ the failures long campaigns actually hit:
   cleanly, and exits with :data:`EXIT_RESUMABLE`; ``repro run <exp>
   --resume`` then skips the already-simulated points.
 
-The layer is zero-cost when idle: with no supervision configured the
-serial path in :mod:`repro.experiments.parallel` is untouched, and
+Every grid and every ``ctl_*`` scenario fan-out runs on
+:class:`SupervisedPool` (in-process for serial runs), and
 supervision never changes results — the simulator is a pure function
 of its request, so a retried point is bit-identical to a first-try
 point, and measurements always replay serially in grid order.

@@ -61,23 +61,6 @@ class SramArray:
         if defect not in self.defects:
             self.defects.append(defect)
 
-    @classmethod
-    def with_random_defects(
-        cls,
-        name: str,
-        rng: np.random.Generator,
-        count: int,
-        rows: int = 256,
-        cols: int = 128,
-        **kwargs,
-    ) -> "SramArray":
-        array = cls(name=name, rows=rows, cols=cols, **kwargs)
-        for _ in range(count):
-            array.add_defect(
-                int(rng.integers(rows)), int(rng.integers(cols))
-            )
-        return array
-
 
 @dataclass(frozen=True)
 class RepairPlan:

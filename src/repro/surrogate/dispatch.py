@@ -1,8 +1,8 @@
 """Two-tier dispatch policy: surrogate when safe, simulator otherwise.
 
-A :class:`FidelityPolicy` is what the grid executors
-(:func:`repro.experiments.parallel.parallel_simulate` and
-:func:`repro.batch.execute.batched_simulate`) consult per point:
+A :class:`FidelityPolicy` is what the grid executor
+(:func:`repro.experiments.parallel.batched_simulate`) consults per
+point:
 
 * ``predict(request)`` returns a ``tier="fast"`` outcome when a
   calibrated profile covers the request and its error bound fits the
@@ -103,7 +103,7 @@ class FidelityPolicy:
 def accepts_cached_outcome(
     outcome: "SimOutcome", fidelity: FidelityPolicy | None
 ) -> bool:
-    """Tier-aware journal acceptance for the grid executors.
+    """Tier-aware journal acceptance for the grid executor.
 
     With no policy (``--tier sim``), only cycle-level points are
     reusable: resuming an ``auto`` journal at full fidelity

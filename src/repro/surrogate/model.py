@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 from repro.batch.key import affinity_key
 from repro.core.multicore import RunResult
 from repro.surrogate.profile import AnchorRun, WorkloadProfile
-from repro.surrogate.store import ProfileStore
 from repro.system import SimOutcome
 from repro.util.events import EventLedger
 
@@ -46,14 +45,6 @@ class SurrogateModel:
         self._freqs = [a.freq_hz for a in profile.anchors]
 
     # ----------------------------------------------------------- applicability
-    @classmethod
-    def for_request(
-        cls, store: ProfileStore, request: "SimRequest"
-    ) -> "SurrogateModel | None":
-        """The model for ``request``'s affinity class, if calibrated."""
-        profile = store.get(profile_key(request))
-        return None if profile is None else cls(profile)
-
     @property
     def error_bound(self) -> float:
         return self.profile.error_bound

@@ -63,9 +63,5 @@ class ProfileStore:
             return []
         return sorted(p.stem for p in self.root.glob("*.json"))
 
-    def load_all(self) -> list[WorkloadProfile]:
-        profiles = [self.get(key) for key in self.keys()]
-        return [p for p in profiles if p is not None]
-
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None

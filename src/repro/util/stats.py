@@ -74,10 +74,6 @@ class Measurement:
     def __neg__(self) -> "Measurement":
         return Measurement(-self.value, self.sigma)
 
-    def in_unit(self, scale: float) -> "Measurement":
-        """Return the measurement divided by a unit multiplier."""
-        return Measurement(self.value / scale, self.sigma / scale)
-
     def format(self, scale: float = 1.0, digits: int = 2) -> str:
         """Render as ``value±sigma`` after dividing by ``scale``."""
         return (

@@ -177,8 +177,3 @@ def replay_ledger(profile: SpecProfile) -> tuple[EventLedger, float]:
     ledger.record("io.beat", l2_misses * 24)
     ledger.record("dram.burst", l2_misses * 2)
     return ledger, cycles
-
-
-def background_power_w() -> float:
-    """The Linux idle-thread background on the other cores."""
-    return LINUX_BACKGROUND_W

@@ -47,8 +47,8 @@ def test_pool_ledgers_identical_to_serial():
         assert ser.result.instructions == par.result.instructions
 
 
-def test_fig13_quick_table_identical_serial_vs_jobs4():
-    serial = fig13_scaling.run(RunContext(quick=True))
+def test_fig13_quick_table_identical_serial_vs_jobs4(quick_result):
+    serial = quick_result("fig13")
     pooled = fig13_scaling.run(RunContext(quick=True, jobs=4))
     assert serial.render() == pooled.render()
     assert serial.series == pooled.series

@@ -23,8 +23,7 @@ from repro.check.faults import (
     WORKER_FAULT_ENV,
     inject_checkpoint_truncation,
 )
-from repro.experiments import parallel as parallel_mod
-from repro.experiments.parallel import parallel_map, parallel_simulate
+from repro.experiments.parallel import parallel_simulate
 from repro.obs.trace import Tracer
 from repro.resilience import (
     EXIT_RESUMABLE,
@@ -223,32 +222,34 @@ def test_abandoned_grid_keeps_journal(tmp_path):
 
 
 # -------------------------------------------------- pool teardown hygiene
-class _InterruptingPool:
-    """Stand-in Pool whose map dies mid-flight, recording teardown."""
+def _slow_task(seconds):
+    time.sleep(seconds)
+    return seconds
 
-    calls: list[str] = []
 
-    def __init__(self, processes):
-        type(self).calls.append(f"init:{processes}")
+def test_supervised_pool_interrupt_leaves_no_children():
+    """A KeyboardInterrupt landing mid-map (raised here from the result
+    callback, where a Ctrl-C in the parent surfaces) must propagate and
+    take every worker down with it, busy or idle."""
+    import multiprocessing
 
-    def map(self, fn, items):
+    before = set(p.pid for p in multiprocessing.active_children())
+    spawned: list[int] = []
+
+    def on_result(index, result):
+        spawned.extend(
+            p.pid
+            for p in multiprocessing.active_children()
+            if p.pid not in before
+        )
         raise KeyboardInterrupt
 
-    def terminate(self):
-        type(self).calls.append("terminate")
-
-    def join(self):
-        type(self).calls.append("join")
-
-
-def test_parallel_map_tears_down_pool_on_interrupt(monkeypatch):
-    _InterruptingPool.calls = []
-    monkeypatch.setattr(
-        parallel_mod.multiprocessing, "Pool", _InterruptingPool
-    )
+    pool = SupervisedPool(_slow_task, jobs=2)
     with pytest.raises(KeyboardInterrupt):
-        parallel_map(_always_failing, ["a", "b"], jobs=2)
-    assert _InterruptingPool.calls == ["init:2", "terminate", "join"]
+        pool.map([0.3] * 4, on_result=on_result)
+    assert spawned  # the map really ran on worker processes
+    after = set(p.pid for p in multiprocessing.active_children())
+    assert after <= before
 
 
 def test_supervised_pool_leaves_no_children(monkeypatch):

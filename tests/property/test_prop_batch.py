@@ -3,10 +3,9 @@
 The batching layer (:mod:`repro.batch`) may only ever change wall
 time. These properties throw randomized grids at it — personas,
 supply voltages, explicit/implicit frequencies, memory-free and
-memory-touching workloads — and require the batched outcomes, the
-pure-python fallback, and the end-to-end sweep records to match the
-serial path exactly, including the de-batch paths where timing
-classes differ.
+memory-touching workloads — and require the batched outcomes and the
+end-to-end sweep records to match the serial path exactly, including
+the de-batch paths where timing classes differ.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.batch import plan_batches
-from repro.batch.accumulate import FORCE_PYTHON_ENV
-from repro.batch.execute import batched_simulate
+from repro.experiments.parallel import parallel_simulate
 from repro.experiments.sweep import SweepPoint, sweep
 from repro.isa.instructions import Unit
 from repro.isa.program import Instruction, flat_program
@@ -89,8 +87,12 @@ def _assert_outcomes_identical(batched, serial) -> None:
 def test_batched_outcomes_match_serial(points, kind):
     requests = _requests(points, FACTORIES[kind])
     serial = [run_simulation(request) for request in requests]
-    batched = list(batched_simulate(requests))
+    batched = list(parallel_simulate(requests, batch=True))
     _assert_outcomes_identical(batched, serial)
+    # Every point owns its ledger and result outright: measurement and
+    # checking must be free to treat each as if simulated alone.
+    assert len({id(o.ledger) for o in batched}) == len(batched)
+    assert len({id(o.result) for o in batched}) == len(batched)
 
     plan = plan_batches(requests)
     if kind == "int":
@@ -103,21 +105,6 @@ def test_batched_outcomes_match_serial(points, kind):
         assert plan.n_groups == len({r.freq_hz for r in requests})
         if plan.n_groups > 1:
             assert plan.debatch_events > 0
-
-
-@settings(max_examples=8, deadline=None)
-@given(points=POINTS)
-def test_python_fallback_matches_numpy_backend(points):
-    import os
-
-    requests = _requests(points, FACTORIES["int"])
-    with_numpy = list(batched_simulate(requests))
-    os.environ[FORCE_PYTHON_ENV] = "1"
-    try:
-        pure_python = list(batched_simulate(requests))
-    finally:
-        del os.environ[FORCE_PYTHON_ENV]
-    _assert_outcomes_identical(pure_python, with_numpy)
 
 
 @settings(max_examples=6, deadline=None)

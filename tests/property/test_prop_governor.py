@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import CheckSuite
-from repro.experiments.parallel import parallel_map
+from repro.experiments.context import RunContext
+from repro.experiments.ctl_common import run_specs
 from repro.governor import ScenarioSpec, run_scenario
 
 personas = st.sampled_from(["chip1", "chip2", "chip3"])
@@ -143,6 +144,6 @@ def test_serial_vs_two_workers_bit_identical():
     ]
     serial = [run_scenario(s).to_dict() for s in specs]
     fanned = [
-        t.to_dict() for t in parallel_map(run_scenario, specs, jobs=2)
+        t.to_dict() for t in run_specs(RunContext(jobs=2), specs)
     ]
     assert serial == fanned
