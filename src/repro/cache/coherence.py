@@ -24,10 +24,6 @@ class MesiState(enum.Enum):
     INVALID = "I"
 
     @property
-    def can_write(self) -> bool:
-        return self is MesiState.MODIFIED
-
-    @property
     def can_read(self) -> bool:
         return self is not MesiState.INVALID
 

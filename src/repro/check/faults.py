@@ -412,6 +412,22 @@ def trigger_daemon_kill() -> None:
         os._exit(9)
 
 
+def _truncate_last(
+    paths: "list[Path]", drop_bytes: int, kind: str, missing: str
+) -> FaultReport:
+    """Cut ``drop_bytes`` off the last of ``paths`` (a torn tail)."""
+    if not paths:
+        raise RuntimeError(missing)
+    target = paths[-1]
+    size = target.stat().st_size
+    keep = max(0, size - drop_bytes)
+    with open(target, "r+b") as fh:
+        fh.truncate(keep)
+    return FaultReport(
+        kind, f"truncated {target.name} from {size} to {keep} bytes"
+    )
+
+
 def inject_job_journal_truncation(
     jobs_dir: "Path | str", drop_bytes: int = 7, seed: int = 0
 ) -> FaultReport:
@@ -421,23 +437,14 @@ def inject_job_journal_truncation(
     next scan — one lost job, not a crashed recovery loop.
     """
     del seed  # deterministic target; kept for the injector signature
-    jobs_dir = Path(jobs_dir)
-    records = sorted(
-        jobs_dir.glob("*.job"), key=lambda p: p.stat().st_mtime
-    )
-    if not records:
-        raise RuntimeError(
-            f"no job records under {jobs_dir} to truncate "
-            "(journal a job first)"
-        )
-    target = records[-1]
-    size = target.stat().st_size
-    keep = max(0, size - drop_bytes)
-    with open(target, "r+b") as fh:
-        fh.truncate(keep)
-    return FaultReport(
+    return _truncate_last(
+        sorted(
+            Path(jobs_dir).glob("*.job"), key=lambda p: p.stat().st_mtime
+        ),
+        drop_bytes,
         "job_journal_truncation",
-        f"truncated {target.name} from {size} to {keep} bytes",
+        f"no job records under {jobs_dir} to truncate "
+        "(journal a job first)",
     )
 
 
@@ -453,21 +460,12 @@ def inject_checkpoint_truncation(
     only the damaged point.
     """
     del seed  # deterministic target; kept for the injector signature
-    journal_dir = Path(journal_dir)
-    segments = sorted(journal_dir.glob("point-*.seg"))
-    if not segments:
-        raise RuntimeError(
-            f"no checkpoint segments under {journal_dir} to truncate "
-            "(run a journaled grid first)"
-        )
-    target = segments[-1]
-    size = target.stat().st_size
-    keep = max(0, size - drop_bytes)
-    with open(target, "r+b") as fh:
-        fh.truncate(keep)
-    return FaultReport(
+    return _truncate_last(
+        sorted(Path(journal_dir).glob("point-*.seg")),
+        drop_bytes,
         "checkpoint_truncation",
-        f"truncated {target.name} from {size} to {keep} bytes",
+        f"no checkpoint segments under {journal_dir} to truncate "
+        "(run a journaled grid first)",
     )
 
 

@@ -116,10 +116,6 @@ class CheckSuite:
         """Picklable view of how many checks ran, by checker."""
         return dict(self.counts)
 
-    @property
-    def total_checks(self) -> int:
-        return sum(self.counts.values())
-
     # ------------------------------------------------------------ directory
     def check_directory(self, memsys: "CoherentMemorySystem") -> None:
         """MESI directory safety across every L2 slice.

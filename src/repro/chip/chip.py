@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arch.area import AreaBreakdown
 from repro.arch.floorplan import Floorplan
 from repro.arch.params import PitonConfig
 from repro.chip.tile import Tile
@@ -67,25 +66,10 @@ class Chip:
             Tile(t, self.config) for t in range((self.config.tile_count))
         ]
 
-    @property
-    def chip_blocks(self) -> tuple[ChipBlock, ...]:
-        return CHIP_BLOCKS
-
     def tile(self, tile_id: int) -> Tile:
         if not 0 <= tile_id < self.config.tile_count:
             raise ValueError(f"tile {tile_id} out of range")
         return self.tiles[tile_id]
-
-    def total_tile_area_mm2(self) -> float:
-        area = AreaBreakdown()
-        return self.config.tile_count * area.total_mm2("tile")
-
-    def chip_block_area_mm2(self, name: str) -> float:
-        area = AreaBreakdown()
-        for block in CHIP_BLOCKS:
-            if block.name == name:
-                return area.block_mm2("chip", block.area_key)
-        raise KeyError(f"no chip block {name!r}")
 
     def summary(self) -> dict[str, object]:
         """Headline facts (Table I / Section II)."""

@@ -53,22 +53,3 @@ class Chipset:
         self.dram = dram or DramModel(ledger=self.ledger)
         self.devices = default_io_devices()
         self.dram_bytes = 1 * 1024**3  # 1GB on the Genesys2
-        self.requests_routed = 0
-
-    def route_memory_request(self) -> None:
-        """North-bridge accounting (latency lives in OffChipPath)."""
-        self.requests_routed += 1
-        self.ledger.record("chipset.request")
-
-    def io_transfer_s(self, device: str, num_bytes: int) -> float:
-        """Wall-clock seconds to move ``num_bytes`` via a peripheral."""
-        if num_bytes < 0:
-            raise ValueError("byte count must be non-negative")
-        try:
-            dev = self.devices[device]
-        except KeyError:
-            raise KeyError(
-                f"unknown device {device!r}; have {sorted(self.devices)}"
-            ) from None
-        self.ledger.record(f"io.{device}_transfer", max(1, num_bytes // 512))
-        return dev.access_latency_s + num_bytes / dev.bandwidth_bytes_per_s

@@ -129,21 +129,3 @@ class MultiChipTopology:
         ledger.record("noc1.router_pass", 3 * (mesh_hops + 1))
         ledger.record("noc3.router_pass", 3 * (mesh_hops + 1))
         return ledger
-
-    def mean_remote_penalty_cycles(self) -> float:
-        """Average cross-socket minus on-socket L2 latency over uniform
-        requester/home pairs — the headline cost CDR avoids."""
-        local_total = remote_total = 0.0
-        local_n = remote_n = 0
-        for requester in range(self.total_tiles):
-            for home in range(self.total_tiles):
-                cycles = self.l2_access_cycles(requester, home)
-                if self.socket_of(requester) == self.socket_of(home):
-                    local_total += cycles
-                    local_n += 1
-                else:
-                    remote_total += cycles
-                    remote_n += 1
-        if remote_n == 0:
-            return 0.0
-        return remote_total / remote_n - local_total / local_n

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arch.area import AreaBreakdown
 from repro.arch.params import PitonConfig
 
 
@@ -92,16 +91,3 @@ class Tile:
         raise KeyError(
             f"no block {name!r}; have {[b.name for b in TILE_BLOCKS]}"
         )
-
-    def block_area_mm2(self, name: str) -> float:
-        """The block's Figure 8 silicon area."""
-        return AreaBreakdown().block_mm2("tile", self.block(name).area_key)
-
-    def events_of_block(self, name: str, ledger) -> dict[str, float]:
-        """Filter an event ledger down to this block's events."""
-        prefixes = self.block(name).event_prefixes
-        return {
-            event: count
-            for event, count in ledger.counts.items()
-            if any(event.startswith(p) for p in prefixes)
-        }

@@ -577,8 +577,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         jobs_dir=args.jobs_dir,
         queue_depth=args.queue_depth,
-        rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst,
         cas_quota_mb=args.cas_quota_mb,
         gc_interval_s=args.gc_interval,
         retries=args.serve_retries,
@@ -1057,23 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admitted jobs allowed beyond the running workers "
         "before new simulating requests get 503 + Retry-After "
         "(default 8)",
-    )
-    serve.add_argument(
-        "--rate-limit",
-        type=float,
-        default=0.0,
-        metavar="RPS",
-        help="per-client token-bucket refill rate for simulating "
-        "POSTs; over-budget clients get 429 + Retry-After "
-        "(default 0 = unlimited)",
-    )
-    serve.add_argument(
-        "--rate-burst",
-        type=float,
-        default=5.0,
-        metavar="N",
-        help="per-client burst capacity when --rate-limit is set "
-        "(default 5)",
     )
     serve.add_argument(
         "--cas-quota-mb",

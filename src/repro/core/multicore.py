@@ -125,10 +125,6 @@ class MulticoreEngine:
         return core
 
     @property
-    def active_core_count(self) -> int:
-        return len(self.cores)
-
-    @property
     def total_instructions(self) -> int:
         return sum(c.stats.issued for c in self.cores.values())
 

@@ -100,9 +100,6 @@ class TraceRecorder:
     def ops(self) -> list[str]:
         return [e.op for e in self.entries]
 
-    def count_op(self, op: str) -> int:
-        return sum(1 for e in self.entries if e.op == op)
-
     def only_ops(self, allowed: Iterable[str]) -> bool:
         """The paper's 'no extraneous activity' check: every issued
         instruction is from the expected set."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -154,9 +154,6 @@ class RunContext:
     def resolve_persona(self, default: "ChipPersona") -> "ChipPersona":
         """The persona override, or the experiment's own default."""
         return self.persona if self.persona is not None else default
-
-    def with_tracer(self, tracer: Tracer | None) -> "RunContext":
-        return replace(self, tracer=tracer)
 
     def supervision(self, experiment_id: str) -> "Supervision | None":
         """The supervised-execution config this context implies.

@@ -6,15 +6,13 @@ design". This module is that tool for the reproduction: given a
 workload's event ledger and operating point, it attributes the
 activity power to architectural blocks (core, L1.5, L2+directory, the
 three NoCs, FPU, off-chip I/O) using the same event-to-block map the
-structural :mod:`repro.chip.tile` publishes, and splits idle power by
-Figure 8 area shares.
+structural :mod:`repro.chip.tile` publishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.area import AreaBreakdown, PASSIVE_BLOCKS
 from repro.power.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.power.chip_power import ChipPowerModel, OperatingPoint
 from repro.silicon.variation import ChipPersona, TYPICAL
@@ -113,26 +111,6 @@ class PowerReport:
             ),
             key=lambda b: -b.active_w,
         )
-
-    # ----------------------------------------------------------------- idle
-    def idle_breakdown(self, op: OperatingPoint) -> dict[str, float]:
-        """Idle (static + clock) power split by tile-level area shares
-        — the best attribution available without per-block gating."""
-        idle = self.model.idle_power(op)
-        core_idle = idle.vdd_w + idle.vcs_w
-        area = AreaBreakdown()
-        entries = {
-            name: entry.percent
-            for name, entry in area.entries("tile").items()
-            if name not in PASSIVE_BLOCKS
-        }
-        total_pct = sum(entries.values())
-        return {
-            name: core_idle * pct / total_pct
-            for name, pct in sorted(
-                entries.items(), key=lambda kv: -kv[1]
-            )
-        }
 
     # --------------------------------------------------------------- report
     def render(

@@ -1,21 +1,21 @@
 """Journaled checkpoints: crash-safe records of completed points.
 
 A :class:`CheckpointJournal` is a directory holding one *segment* file
-per completed grid point plus a small ``meta.json``. Appending a point
-writes its segment to a same-directory temp file, fsyncs, then
-``os.replace``\\ s it into place — the journal therefore never contains
-a half-written segment under its final name; a torn write (power loss,
-``kill -9`` mid-rename) at worst leaves a stray temp file that the
-next open sweeps away.
+per completed grid point plus a small ``meta.json``. Segments are
+written with :func:`repro.util.io.atomic_write_bytes`, so the journal
+never contains a half-written segment under its final name; a torn
+write (power loss, ``kill -9`` mid-rename) at worst leaves a stray
+temp file that the next open sweeps away.
 
-Each segment frames a pickled payload (a stripped
-:class:`~repro.system.SimOutcome`) with a magic string, the payload
-length, a CRC32, and the SHA-256 digest of the :class:`SimRequest`
-that produced it. On resume a point is only reused when its index
-*and* request digest match — so a journal from a different grid shape
-(``--quick`` vs full, different persona) can never leak stale outcomes
-into a run — and any segment whose length or CRC does not verify is
-treated as absent: only the damaged tail of an interrupted campaign is
+Each segment is one :func:`repro.util.io.frame` record: a pickled
+payload (a stripped :class:`~repro.system.SimOutcome`) under a
+header holding the SHA-256 digest of the :class:`SimRequest` that
+produced it, both covered by the CRC32. On resume a point is only
+reused when its index *and* request digest match — so a journal from
+a different grid shape (``--quick`` vs full, different persona) can
+never leak stale outcomes into a run — and any segment that does not
+verify (including one written under an older framing) is treated as
+absent: only the damaged tail of an interrupted campaign is
 re-simulated, never the whole grid.
 """
 
@@ -23,20 +23,25 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import re
-import struct
-import tempfile
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
+
+from repro.util.io import (
+    atomic_write_bytes,
+    atomic_write_text,
+    frame,
+    sweep_temp_files,
+    unframe,
+)
 
 #: Bump when the segment framing changes; unknown versions are damaged.
-_MAGIC = b"RJRN1\0"
-#: crc32(payload), len(payload), sha256(request) — after the magic.
-_HEADER = struct.Struct(">IQ32s")
+_MAGIC = b"RJRN2\0"
+#: The segment header: sha256(request).
+_DIGEST_SIZE = 32
 _SEGMENT_RE = re.compile(r"^point-(\d{6})\.seg$")
 _META_NAME = "meta.json"
 
@@ -61,18 +66,24 @@ def _segment_name(index: int) -> str:
     return f"point-{index:06d}.seg"
 
 
-def _fsync_dir(path: Path) -> None:
-    """Flush a directory entry (best effort on exotic filesystems)."""
+def _read_segment(seg: Path) -> tuple[bytes, bytes] | None:
+    """``(request digest, pickled outcome)`` of a verified segment."""
     try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-specific
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-specific
-        pass
-    finally:
-        os.close(fd)
+        blob = seg.read_bytes()
+    except OSError:  # pragma: no cover - unreadable file
+        return None
+    return unframe(blob, _MAGIC, _DIGEST_SIZE)
+
+
+def _scan_segments(path: Path) -> Iterator[tuple[Path, int, bytes | None]]:
+    """Every segment under ``path`` as ``(file, index, digest)``, in
+    index order; the digest is ``None`` for a damaged segment."""
+    for seg in sorted(path.iterdir()):
+        m = _SEGMENT_RE.match(seg.name)
+        if m is not None:
+            record = _read_segment(seg)
+            digest = None if record is None else record[0]
+            yield seg, int(m.group(1)), digest
 
 
 @dataclass
@@ -119,17 +130,13 @@ class CheckpointJournal:
         #: Segment names that failed verification on scan.
         self.damaged: list[str] = []
         self.path.mkdir(parents=True, exist_ok=True)
-        self._sweep_temp_files()
+        sweep_temp_files(self.path)
         if resume:
             self._scan()
         else:
             self._reset()
 
     # ------------------------------------------------------------- lifecycle
-    def _sweep_temp_files(self) -> None:
-        for tmp in self.path.glob(".tmp-*"):
-            tmp.unlink(missing_ok=True)
-
     def _reset(self) -> None:
         """Drop any previous campaign's segments (fresh, non-resume run)."""
         for seg in self.path.glob("point-*.seg"):
@@ -138,15 +145,11 @@ class CheckpointJournal:
         self.damaged.clear()
 
     def _scan(self) -> None:
-        for seg in sorted(self.path.iterdir()):
-            m = _SEGMENT_RE.match(seg.name)
-            if m is None:
-                continue
-            digest = self._verify_segment(seg)
+        for seg, index, digest in _scan_segments(self.path):
             if digest is None:
                 self.damaged.append(seg.name)
             else:
-                self._index[int(m.group(1))] = (digest, seg)
+                self._index[index] = (digest, seg)
 
     def complete(self) -> None:
         """The campaign finished: the journal has served its purpose."""
@@ -159,42 +162,13 @@ class CheckpointJournal:
             pass
 
     # --------------------------------------------------------------- segments
-    @staticmethod
-    def _verify_segment(seg: Path) -> bytes | None:
-        """The request digest of a well-formed segment, else ``None``."""
-        try:
-            blob = seg.read_bytes()
-        except OSError:  # pragma: no cover - unreadable file
-            return None
-        head = len(_MAGIC) + _HEADER.size
-        if len(blob) < head or not blob.startswith(_MAGIC):
-            return None
-        crc, length, digest = _HEADER.unpack(blob[len(_MAGIC):head])
-        payload = blob[head:]
-        if len(payload) != length or zlib.crc32(payload) != crc:
-            return None
-        return digest
-
     def append(self, index: int, digest: bytes, outcome: object) -> Path:
         """Journal one completed point (atomic temp-file + rename)."""
         payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = (
-            _MAGIC
-            + _HEADER.pack(zlib.crc32(payload), len(payload), digest)
-            + payload
+        final = atomic_write_bytes(
+            self.path / _segment_name(index),
+            frame(_MAGIC, payload, header=digest),
         )
-        final = self.path / _segment_name(index)
-        fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=self.path)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, final)
-        except BaseException:
-            Path(tmp_name).unlink(missing_ok=True)
-            raise
-        _fsync_dir(self.path)
         self._index[index] = (digest, final)
         return final
 
@@ -203,13 +177,12 @@ class CheckpointJournal:
         entry = self._index.get(index)
         if entry is None or entry[0] != digest:
             return None
-        seg_digest = self._verify_segment(entry[1])
-        if seg_digest != digest:  # damaged since the scan
+        record = _read_segment(entry[1])
+        if record is None or record[0] != digest:  # damaged since the scan
             self._index.pop(index, None)
             self.damaged.append(entry[1].name)
             return None
-        blob = entry[1].read_bytes()
-        return pickle.loads(blob[len(_MAGIC) + _HEADER.size:])
+        return pickle.loads(record[1])
 
     def __contains__(self, index: int) -> bool:
         return index in self._index
@@ -230,8 +203,6 @@ class CheckpointJournal:
             "points_expected": points_expected,
             "updated_at": time.time(),
         }
-        from repro.util.io import atomic_write_text
-
         atomic_write_text(
             self.path / _META_NAME, json.dumps(meta, indent=2) + "\n"
         )
@@ -252,13 +223,11 @@ def journal_status(path: Path | str) -> JournalStatus:
         except (OSError, json.JSONDecodeError):
             status.damaged.append(_META_NAME)
     newest = 0.0
-    for seg in sorted(path.iterdir()):
-        if _SEGMENT_RE.match(seg.name) is None:
-            continue
-        size = seg.stat().st_size
-        status.bytes += size
-        newest = max(newest, seg.stat().st_mtime)
-        if CheckpointJournal._verify_segment(seg) is None:
+    for seg, _index, digest in _scan_segments(path):
+        st = seg.stat()
+        status.bytes += st.st_size
+        newest = max(newest, st.st_mtime)
+        if digest is None:
             status.damaged.append(seg.name)
         else:
             status.points += 1

@@ -9,14 +9,12 @@ The package splits along the daemon's three concerns:
   capture for ``GET /v1/jobs/<id>``;
 * :mod:`repro.serve.http`   — the minimal stdlib HTTP/1.1 layer;
 * :mod:`repro.serve.daemon` — routing, admission control (queue
-  bound, rate limiting, drain mode), tier-aware cache arbitration,
-  in-flight request coalescing, and startup recovery;
+  bound, drain mode), tier-aware cache arbitration, in-flight
+  request coalescing, and startup recovery;
 * :mod:`repro.serve.workers` — the process-isolated execution tier
   (supervised worker processes with heartbeats/deadlines/retries);
 * :mod:`repro.serve.journal` — the durable job journal recovery
   replays after a crash;
-* :mod:`repro.serve.ratelimit` — per-client token buckets behind
-  the 429 contract;
 * :mod:`repro.serve.status` — the status document shared with
   ``repro status --json``.
 """
@@ -34,7 +32,6 @@ from repro.serve.journal import (
     JobJournal,
     JobRecord,
 )
-from repro.serve.ratelimit import RateLimiter, TokenBucket
 from repro.serve.status import STATUS_SCHEMA_VERSION, status_document
 from repro.serve.workers import WorkerTier
 
@@ -47,11 +44,9 @@ __all__ = [
     "JobJournal",
     "JobRecord",
     "JobRegistry",
-    "RateLimiter",
     "ResultCache",
     "STATUS_SCHEMA_VERSION",
     "SimulationService",
-    "TokenBucket",
     "WorkerTier",
     "status_document",
 ]

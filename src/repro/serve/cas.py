@@ -13,17 +13,19 @@ checkpoint journal already proves stable across processes (see
 * ``run`` — complete ``ExperimentResult`` JSON documents for
   ``POST /v1/run``, returned byte-for-byte on a warm hit.
 
-Entries are framed (magic, CRC32, payload length, fidelity tier,
-error bound) and written atomically (same-directory temp + fsync +
-rename), so a torn write can never serve a half-entry: a frame that
-fails verification is treated as absent and the point simply
-re-simulates — and overwrites the bad entry with a good one.
+Entries are :func:`repro.util.io.frame` records whose header holds
+the fidelity tier and error bound, written atomically with
+:func:`repro.util.io.atomic_write_bytes`, so a torn write can never
+serve a half-entry: a frame that fails verification — the CRC covers
+the tier header too — is treated as absent and the point simply
+re-simulates, and overwrites the bad entry with a good one.
 
-Cache policy is tier-aware, mirroring
-:func:`repro.surrogate.dispatch.accepts_cached_outcome`: a ``sim``
-entry (cycle-level) satisfies any requested tier; a ``fast`` entry
-(surrogate-served) satisfies ``fast`` always, ``auto`` only within
-the requested tolerance, and ``sim`` never.
+Cache policy is tier-aware, the one rule
+:func:`repro.surrogate.dispatch.tier_accepts` also applies to
+journaled outcomes: a ``sim`` entry (cycle-level) satisfies any
+requested tier; a ``fast`` entry (surrogate-served) satisfies
+``fast`` always, ``auto`` only within the requested tolerance, and
+``sim`` never.
 """
 
 from __future__ import annotations
@@ -31,21 +33,21 @@ from __future__ import annotations
 import os
 import pickle
 import struct
-import tempfile
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.surrogate.dispatch import tier_accepts
+from repro.util.io import atomic_write_bytes, frame, quarantine, unframe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system import SimOutcome
 
 #: Bump when the entry framing changes; unknown frames are misses.
-_MAGIC = b"RCAS1\0"
-#: crc32(payload), len(payload), tier code, tier error bound.
-_HEADER = struct.Struct(">IQBd")
+_MAGIC = b"RCAS2\0"
+#: The entry header: tier code, tier error bound.
+_TIER_HEADER = struct.Struct(">Bd")
 
 _TIER_TO_CODE = {"sim": 0, "fast": 1}
 _CODE_TO_TIER = {v: k for k, v in _TIER_TO_CODE.items()}
@@ -102,43 +104,20 @@ class ResultCache:
         tier_err: float = 0.0,
     ) -> Path:
         """Store one entry atomically (temp + fsync + rename)."""
-        blob = (
-            _MAGIC
-            + _HEADER.pack(
-                zlib.crc32(payload),
-                len(payload),
-                _TIER_TO_CODE.get(tier, 1),
-                tier_err,
-            )
-            + payload
-        )
+        header = _TIER_HEADER.pack(_TIER_TO_CODE.get(tier, 1), tier_err)
         path = self._entry_path(namespace, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=path.parent)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            Path(tmp_name).unlink(missing_ok=True)
-            raise
-        return path
+        return atomic_write_bytes(path, frame(_MAGIC, payload, header))
 
     # ------------------------------------------------------------------ read
     @staticmethod
     def _decode(blob: bytes) -> CacheEntry | None:
         """Verify one frame; ``None`` on any damage (torn, flipped)."""
-        head = len(_MAGIC) + _HEADER.size
-        if len(blob) < head or not blob.startswith(_MAGIC):
+        record = unframe(blob, _MAGIC, _TIER_HEADER.size)
+        if record is None:
             return None
-        crc, length, tier_code, tier_err = _HEADER.unpack(
-            blob[len(_MAGIC):head]
-        )
-        payload = blob[head:]
-        if len(payload) != length or zlib.crc32(payload) != crc:
-            return None
+        header, payload = record
+        tier_code, tier_err = _TIER_HEADER.unpack(header)
         tier = _CODE_TO_TIER.get(tier_code)
         if tier is None:
             return None
@@ -157,16 +136,9 @@ class ResultCache:
     def satisfies(
         entry: CacheEntry, tier: str, tolerance: float
     ) -> bool:
-        """Tier-aware acceptance (mirrors ``accepts_cached_outcome``):
-        cycle-level entries satisfy every tier; surrogate entries never
-        satisfy ``sim`` and satisfy ``auto`` only within tolerance."""
-        if entry.tier == "sim":
-            return True
-        if tier == "fast":
-            return True
-        if tier == "auto":
-            return entry.tier_err <= tolerance
-        return False
+        """Whether ``entry`` may answer a ``tier`` request
+        (:func:`~repro.surrogate.dispatch.tier_accepts`)."""
+        return tier_accepts(entry.tier, entry.tier_err, tier, tolerance)
 
     def lookup(
         self,
@@ -255,23 +227,16 @@ class ResultCache:
         request for that key is a clean miss that overwrites nothing.
         Returns how many entries were quarantined.
         """
-        quarantine = self.root / self.QUARANTINE_DIR
         repaired = 0
         for _mtime, _size, path in self._entries():
             try:
                 blob = path.read_bytes()
             except OSError:
                 continue
-            if self._decode(blob) is not None:
-                continue
-            quarantine.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(
-                    path, quarantine / (path.name + ".damaged")
-                )
-            except OSError:  # pragma: no cover - racing unlink
-                continue
-            repaired += 1
+            if self._decode(blob) is None and quarantine(
+                path, self.root / self.QUARANTINE_DIR
+            ):
+                repaired += 1
         self.scrub_repairs += repaired
         return repaired
 

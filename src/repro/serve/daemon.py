@@ -36,13 +36,12 @@ retried and reported, never fatal to the daemon. Admitted jobs are
 retired after, recovered on the next start if the daemon dies in
 between (sweeps resume from their per-point CAS entries, so completed
 work is never repeated). Admission is **bounded**: a saturated tier
-answers ``503 + Retry-After``, a per-client token bucket answers
-``429 + Retry-After``, and ``SIGTERM`` enters drain mode — running
-jobs finish, new simulating requests get 503, and a drain that times
-out journals the stragglers and exits 75 (the resumable exit code,
-matching ``repro run``). The CAS itself is kept under a size quota
-by background LRU eviction (``--cas-quota-mb``), with eviction and
-scrub totals on ``/v1/status``.
+answers ``503 + Retry-After``, and ``SIGTERM`` enters drain mode —
+running jobs finish, new simulating requests get 503, and a drain
+that times out journals the stragglers and exits 75 (the resumable
+exit code, matching ``repro run``). The CAS itself is kept under a
+size quota by background LRU eviction (``--cas-quota-mb``), with
+eviction and scrub totals on ``/v1/status``.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ from repro.serve.http import (
 )
 from repro.serve.jobs import Job, JobRegistry
 from repro.serve.journal import DEFAULT_JOBS_DIR, JobJournal, JobRecord
-from repro.serve.ratelimit import RateLimiter
 from repro.serve.status import status_document
 from repro.serve.workers import WorkerTier
 from repro.sweepspec import SpecError, SweepSpec
@@ -190,8 +188,6 @@ class SimulationService:
         *,
         jobs_dir: str | Path = DEFAULT_JOBS_DIR,
         queue_depth: int = 8,
-        rate_limit: float = 0.0,
-        rate_burst: float = 5.0,
         cas_quota_mb: float | None = None,
         gc_interval_s: float = 60.0,
         retries: int = 2,
@@ -208,7 +204,6 @@ class SimulationService:
         self.tier = WorkerTier(
             workers=workers, retries=retries, deadline_s=deadline_s
         )
-        self.limiter = RateLimiter(rate=rate_limit, burst=rate_burst)
         self.queue_depth = max(0, queue_depth)
         self.cas_quota_bytes = (
             int(cas_quota_mb * 1024 * 1024)
@@ -225,7 +220,6 @@ class SimulationService:
         self._counters: dict[str, int] = {
             "accepted": 0,
             "rejected_saturated": 0,
-            "rate_limited": 0,
             "jobs_recovered": 0,
             "jobs_recovery_failed": 0,
             "journal_quarantined": 0,
@@ -488,8 +482,6 @@ class SimulationService:
                 return
             if request is None:
                 return
-            peer = writer.get_extra_info("peername")
-            request.client = peer[0] if peer else "unknown"
             if request.query.get("stream") and (
                 request.method == "GET"
                 and request.path.startswith("/v1/jobs/")
@@ -568,7 +560,6 @@ class SimulationService:
             "active": self._active,
             "journal_dir": str(self.journal.root),
             "journaled_jobs": len(self.journal),
-            "rate_limit": self.limiter.rate,
             "cas_quota_bytes": self.cas_quota_bytes,
             **self._counters,
         }
@@ -650,7 +641,6 @@ class SimulationService:
             experiment_id=params["experiment"],
             task=self._run_task(params),
             request_doc={"params": params},
-            client=request.client,
         )
 
     # ------------------------------------------------------------- /v1/sweep
@@ -697,7 +687,6 @@ class SimulationService:
                 "fidelity": fidelity,
                 "jobs": jobs,
             },
-            client=request.client,
         )
 
     # ------------------------------------------------- cache + coalescing
@@ -711,27 +700,17 @@ class SimulationService:
         experiment_id: str,
         task: dict,
         request_doc: dict,
-        client: str = "",
     ) -> bytes:
         """The admission + memo path every simulating endpoint shares.
 
-        Order of arbitration: per-client rate limit (429) → completed
-        entry in the store → serve the stored bytes (``hit``) →
-        identical request currently executing → await its future
-        (``coalesced``) → drain mode or saturated tier (503) →
-        admit: journal, simulate in an isolated worker, store, resolve
-        the shared future (``miss``). The inflight table only mutates
-        on the event-loop thread, so no lock.
+        Order of arbitration: completed entry in the store → serve
+        the stored bytes (``hit``) → identical request currently
+        executing → await its future (``coalesced``) → drain mode or
+        saturated tier (503) → admit: journal, simulate in an
+        isolated worker, store, resolve the shared future (``miss``).
+        The inflight table only mutates on the event-loop thread, so
+        no lock.
         """
-        if self.limiter.enabled and client:
-            wait = self.limiter.check(client)
-            if wait > 0:
-                self._counters["rate_limited"] += 1
-                return error_response(
-                    429,
-                    "rate limit exceeded for this client",
-                    retry_after=wait,
-                )
         entry = self.cache.lookup(
             namespace, digest, tier=tier, tolerance=tolerance
         )

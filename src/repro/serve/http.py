@@ -38,8 +38,6 @@ class HttpRequest:
     query: dict[str, str] = field(default_factory=dict)
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
-    #: Peer address, filled in by the daemon (rate-limit identity).
-    client: str = ""
 
     def json(self) -> object:
         try:
@@ -103,7 +101,6 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
-    429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -165,7 +162,7 @@ def error_response(
     **details: object,
 ) -> bytes:
     """An error document; ``retry_after`` (seconds) also becomes the
-    ``Retry-After`` header — the 429/503 backpressure contract."""
+    ``Retry-After`` header — the 503 backpressure contract."""
     headers = None
     if retry_after is not None:
         seconds = max(1, math.ceil(retry_after))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Mapping
 
-STATUS_SCHEMA_VERSION = 2
+STATUS_SCHEMA_VERSION = 3
 
 
 def status_document(

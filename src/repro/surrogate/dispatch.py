@@ -9,11 +9,13 @@ point:
   tolerance — otherwise ``None``, and the point falls back to the
   cycle-level simulator. Novel workloads (no profile), out-of-envelope
   clocks, and requests running invariant checks always fall back.
-* ``accepts_cached(outcome)`` arbitrates checkpoint-journal reuse
-  across tiers: cycle-level points are reusable under any tier, but a
-  surrogate point is only reusable when the active policy would have
-  served it — a ``--tier sim`` resume of an ``auto`` journal
-  re-simulates every fast point rather than silently keeping it.
+* :func:`tier_accepts` is the one rule for reusing a stored result
+  across tiers, applied to journaled outcomes
+  (:func:`accepts_cached_outcome`) and to result-cache entries alike:
+  cycle-level results are reusable under any tier, but a surrogate
+  result is only reusable when the active policy would have served
+  it — a ``--tier sim`` resume of an ``auto`` journal re-simulates
+  every fast point rather than silently keeping it.
 
 Accounting lands on the run tracer: ``surrogate_hits`` /
 ``surrogate_fallbacks`` / ``points_tier_rejected`` counters (→
@@ -37,6 +39,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: is the absence of one (``fidelity=None``), keeping every legacy
 #: call site on the bit-exact path by default.
 TIERS = ("sim", "auto", "fast")
+
+
+def tier_accepts(
+    stored: str, stored_err: float, tier: str, tolerance: float
+) -> bool:
+    """Whether a result computed at tier ``stored`` (error bound
+    ``stored_err``) may answer a ``tier`` request.
+
+    A cycle-level result answers every tier. A surrogate result
+    answers ``fast`` always, ``auto`` only within ``tolerance``, and
+    ``sim`` never.
+    """
+    if stored != "fast":
+        return True
+    if tier == "fast":
+        return True
+    return tier == "auto" and stored_err <= tolerance
 
 
 @dataclass
@@ -90,15 +109,6 @@ class FidelityPolicy:
         self.tracer.gauge_max("surrogate_max_err", outcome.tier_err)
         return outcome
 
-    # ---------------------------------------------------------------- resume
-    def accepts_cached(self, outcome: "SimOutcome") -> bool:
-        """Whether a journaled outcome satisfies this policy's tier."""
-        if getattr(outcome, "tier", "sim") != "fast":
-            return True  # cycle-level points satisfy every tier
-        if self.tier == "fast":
-            return True
-        return getattr(outcome, "tier_err", 0.0) <= self.tolerance
-
 
 def accepts_cached_outcome(
     outcome: "SimOutcome", fidelity: FidelityPolicy | None
@@ -110,6 +120,9 @@ def accepts_cached_outcome(
     re-simulates every surrogate-served point instead of silently
     keeping it.
     """
-    if getattr(outcome, "tier", "sim") != "fast":
-        return True
-    return fidelity is not None and fidelity.accepts_cached(outcome)
+    return tier_accepts(
+        getattr(outcome, "tier", "sim"),
+        getattr(outcome, "tier_err", 0.0),
+        "sim" if fidelity is None else fidelity.tier,
+        0.0 if fidelity is None else fidelity.tolerance,
+    )

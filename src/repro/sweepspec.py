@@ -407,7 +407,6 @@ def run_sweepspec(
     spec: SweepSpec,
     ctx,
     supervision=None,
-    use_context_supervision: bool = True,
     seed: int = 0,
 ):
     """Execute one SweepSpec under a RunContext; returns a SweepResult.
@@ -418,14 +417,13 @@ def run_sweepspec(
     :func:`~repro.experiments.sweep.build_requests`, execution from
     :func:`~repro.experiments.sweep.sweep`. ``supervision`` overrides
     the context-derived one (the service passes a CAS-backed journal
-    here); ``use_context_supervision=False`` with ``supervision=None``
-    runs bare.
+    here).
     """
     from repro.experiments.sweep import sweep
 
     named = _known_workloads()[spec.workload]
     workload, warmup, window = named.build(spec.quick)
-    if supervision is None and use_context_supervision:
+    if supervision is None:
         supervision = ctx.supervision(spec.experiment_id)
     return sweep(
         spec.points(),

@@ -100,14 +100,3 @@ class EventLedger:
     def clear(self) -> None:
         self.counts.clear()
         self.weights.clear()
-
-
-class NullLedger(EventLedger):
-    """A ledger that discards everything (for pure-timing runs)."""
-
-    def record(self, name: str, n: float = 1.0, activity: float | None = None) -> None:  # noqa: D102
-        if n < 0:
-            raise ValueError(f"negative event count for {name!r}")
-
-    def add_bulk(self, name: str, n: float, weight: float) -> None:  # noqa: D102
-        pass

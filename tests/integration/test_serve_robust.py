@@ -3,8 +3,8 @@
 Chaos-shaped scenarios against real daemons: a worker process that
 segfaults mid-job (retried, never fatal), a streaming client that
 disconnects (detached, job unharmed), admission control under
-saturation and per-client rate limits (503/429 + Retry-After), drain
-mode, shutdown abandoning work as an explicit ``interrupted`` state,
+saturation (503 + Retry-After), drain mode, shutdown abandoning work
+as an explicit ``interrupted`` state,
 and — against subprocess daemons — SIGKILL mid-sweep followed by a
 restart that recovers the journaled job, resumes from the completed
 points, and produces the byte-identical document an uninterrupted
@@ -219,24 +219,6 @@ class TestAdmissionControl:
         finally:
             disarm_serve_fault()
         assert out["resp"][0] == 200  # the admitted job was unharmed
-        svc.shutdown()
-
-    def test_per_client_rate_limit_answers_429(self, tmp_path):
-        svc = _make_service(
-            tmp_path, workers=1, rate_limit=0.001, rate_burst=2.0
-        )
-        s1, _, _ = _request(svc.bound_port, "POST", "/v1/run", RUN_BODY)
-        s2, h2, _ = _request(svc.bound_port, "POST", "/v1/run", RUN_BODY)
-        assert (s1, s2) == (200, 200)
-        assert h2["X-Repro-Cache"] == "hit"
-        s3, h3, body = _request(
-            svc.bound_port, "POST", "/v1/run", RUN_BODY
-        )
-        assert s3 == 429
-        assert int(h3["Retry-After"]) >= 1
-        assert "rate limit" in json.loads(body)["error"]["message"]
-        doc = _status_doc(svc.bound_port)  # GETs are never limited
-        assert doc["service"]["rate_limited"] == 1
         svc.shutdown()
 
 

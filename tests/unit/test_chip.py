@@ -142,24 +142,6 @@ class TestChipset:
         )
         assert devices["sd"].bandwidth_bytes_per_s == pytest.approx(2.5e6)
 
-    def test_io_transfer_time(self):
-        chipset = Chipset()
-        t = chipset.io_transfer_s("sd", 1024 * 1024)
-        assert t > 0.4  # ~1MB over ~2.5MB/s
-
-    def test_unknown_device(self):
-        with pytest.raises(KeyError, match="unknown device"):
-            Chipset().io_transfer_s("floppy", 1)
-
-    def test_negative_bytes(self):
-        with pytest.raises(ValueError):
-            Chipset().io_transfer_s("sd", -1)
-
-    def test_memory_request_routing(self):
-        chipset = Chipset()
-        chipset.route_memory_request()
-        assert chipset.requests_routed == 1
-
     def test_dram_size(self):
         assert Chipset().dram_bytes == 1 << 30
 

@@ -202,12 +202,6 @@ class TestRunContext:
         ctx = RunContext(persona=override)
         assert ctx.resolve_persona(sentinel) is override
 
-    def test_with_tracer(self):
-        tracer = Tracer()
-        ctx = RunContext(quick=True).with_tracer(tracer)
-        assert ctx.trace is tracer
-        assert ctx.quick is True
-
 
 @experiment_runner
 def _demo_runner(ctx: RunContext, scale: int = 3) -> ExperimentResult:

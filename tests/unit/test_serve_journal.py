@@ -1,10 +1,9 @@
 """Unit coverage for the daemon's hardening layers.
 
 The durable job journal (CRC framing, atomic updates, quarantine of
-torn records), the per-client token-bucket rate limiter (injectable
-clock, no sleeps), and the CAS lifecycle operations (stats, LRU gc,
-scrub quarantine) — each exercised in isolation, with the fault
-injectors proving the failure paths actually engage.
+torn records) and the CAS lifecycle operations (stats, LRU gc, scrub
+quarantine) — each exercised in isolation, with the fault injectors
+proving the failure paths actually engage.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.check.faults import (
 )
 from repro.serve.cas import ResultCache
 from repro.serve.journal import JobJournal, RECOVERABLE_STATES
-from repro.serve.ratelimit import RateLimiter, TokenBucket
 
 
 # ------------------------------------------------------------- job journal
@@ -95,55 +93,6 @@ class TestJobJournal:
         (tmp_path / ".tmp-orphan").write_bytes(b"half a record")
         JobJournal(tmp_path)
         assert not list(tmp_path.glob(".tmp-*"))
-
-
-# ------------------------------------------------------------- rate limiting
-class TestTokenBucket:
-    def test_burst_then_refusal_with_honest_wait(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=1.0, burst=2.0, clock=lambda: now[0])
-        assert bucket.try_acquire() == 0.0
-        assert bucket.try_acquire() == 0.0
-        wait = bucket.try_acquire()
-        assert wait == pytest.approx(1.0)  # one token at 1/s
-
-    def test_refill_is_elapsed_time_not_polling(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=2.0, burst=1.0, clock=lambda: now[0])
-        assert bucket.try_acquire() == 0.0
-        assert bucket.try_acquire() > 0.0
-        now[0] += 0.5  # exactly one token at 2/s
-        assert bucket.try_acquire() == 0.0
-
-    def test_tokens_cap_at_burst(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=10.0, burst=2.0, clock=lambda: now[0])
-        now[0] += 100.0  # idle forever != unlimited burst
-        assert bucket.try_acquire() == 0.0
-        assert bucket.try_acquire() == 0.0
-        assert bucket.try_acquire() > 0.0
-
-
-class TestRateLimiter:
-    def test_disabled_by_default(self):
-        limiter = RateLimiter()
-        assert not limiter.enabled
-        assert limiter.check("anyone") == 0.0
-
-    def test_clients_have_independent_buckets(self):
-        now = [0.0]
-        limiter = RateLimiter(rate=1.0, burst=1.0, clock=lambda: now[0])
-        assert limiter.check("alice") == 0.0
-        assert limiter.check("alice") > 0.0  # alice exhausted
-        assert limiter.check("bob") == 0.0  # bob untouched
-
-    def test_bucket_count_is_bounded(self):
-        now = [0.0]
-        limiter = RateLimiter(rate=1.0, burst=1.0, clock=lambda: now[0])
-        for i in range(limiter.MAX_CLIENTS + 10):
-            now[0] += 0.001  # distinct staleness per bucket
-            limiter.check(f"client-{i}")
-        assert len(limiter._buckets) <= limiter.MAX_CLIENTS
 
 
 # ------------------------------------------------------------ fault arming

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.util.events import EventLedger, NullLedger
+from repro.util.events import EventLedger
 from repro.util.rng import RngFactory
 from repro.util.stats import Measurement, mean_std
 from repro.util.tables import render_table
@@ -147,11 +147,6 @@ class TestEventLedger:
     def test_scaled_negative_rejected(self, ledger):
         with pytest.raises(ValueError):
             ledger.scaled(-1.0)
-
-    def test_null_ledger_discards(self):
-        null = NullLedger()
-        null.record("x", 100)
-        assert null.count("x") == 0
 
     def test_clear(self, ledger):
         ledger.record("x")
