@@ -23,7 +23,7 @@ from repro.arch.floorplan import Floorplan
 from repro.arch.params import PitonConfig
 from repro.cache.addressing import AddressMap
 from repro.cache.cdr import CdrRegistry
-from repro.cache.coherence import CoherenceError, MesiState
+from repro.cache.coherence import CoherenceError, DirectoryEntry, MesiState
 from repro.cache.l2 import L2Slice, RecallAction
 from repro.cache.latency import MemoryLatencyModel, default_latency_model
 from repro.cache.setassoc import SetAssocCache
@@ -210,24 +210,62 @@ class CoherentMemorySystem:
     # ----------------------------------------------------------- atomic (CAS)
     def atomic(self, tile: int, addr: int, now: int = 0) -> MemoryAccessOutcome:
         """Atomic compare-and-swap: performed at the home L2 (as on the
-        T1), invalidating every private copy of the line."""
+        T1), invalidating every private copy of the line.
+
+        An exclusive request to the home slice that allocates nothing
+        privately: the line ends uncached above the L2 (no directory
+        entry) and dirty there. Spin locks issue these back to back,
+        so the path does only what changes state: one directory
+        lookup, holder invalidations only when another tile holds the
+        line, and its default-activity events added to the ledger
+        directly, in the order the generic exclusive fetch records
+        them.
+        """
         if self.cdr is not None:
             self.cdr.check(tile, addr)
-        self.ledger.record("l15.write")
-        outcome = self._fetch_from_home(
-            tile, addr, exclusive=True, allocate_private=False, now=now
-        )
+        counts = self.ledger.counts
+        weights = self.ledger.weights
+        counts["l15.write"] += 1
+        weights["l15.write"] += 0.5
+        home = self.address_map.home_tile(addr)
+        floorplan = self.floorplan
+        hops = floorplan.hops(tile, home)
+        turns = 1 if floorplan.has_turn(tile, home) else 0
+        counts["noc1.flit"] += REQUEST_FLITS
+        weights["noc1.flit"] += REQUEST_FLITS * 0.5
+        if hops:
+            counts["noc1.flit_hop"] += REQUEST_FLITS * hops
+            weights["noc1.flit_hop"] += REQUEST_FLITS * hops * 0.5
+        latency = self.latency.l2_hit(hops, turns)
+        level = "l2_local" if hops == 0 else "l2_remote"
+        slice_ = self.l2[home]
+        counts["l2.write"] += 1
+        weights["l2.write"] += 0.5
+        counts["dir.lookup"] += 1
+        weights["dir.lookup"] += 0.5
+        if not slice_.tags.access(addr, write=True).hit:
+            latency += self._l2_fill_from_memory(
+                home, addr, now, requester=tile
+            )
+            level = "mem"
+        line = slice_.line_addr(addr)
+        entry = slice_.directory.pop(line, None)
+        if entry is not None and (
+            entry.sharers or (entry.owner is not None and entry.owner != tile)
+        ):
+            latency += self._invalidate_holders(home, addr, entry, tile)
+        counts["noc3.flit"] += RESPONSE_FLITS
+        weights["noc3.flit"] += RESPONSE_FLITS * 0.5
+        if hops:
+            counts["noc3.flit_hop"] += RESPONSE_FLITS * hops
+            weights["noc3.flit_hop"] += RESPONSE_FLITS * hops * 0.5
+        outcome = MemoryAccessOutcome(latency, level, hops, turns, home)
+        if self.checker is not None:
+            self.checker.check_access(outcome)
         # The atomic result lives at the L2; drop any stale private copy
         # the requester itself held.
         self._invalidate_private(tile, addr)
-        home = self.address_map.home_tile(addr)
-        self.l2[home].tags.set_dirty(addr, True)  # the swap lands at the L2
-        line = self.l2[home].line_addr(addr)
-        entry = self.l2[home].directory.get(line)
-        if entry is not None:
-            entry.drop(tile)
-            if entry.uncached:
-                del self.l2[home].directory[line]
+        slice_.tags.set_dirty(addr, True)  # the swap lands at the L2
         return outcome
 
     # ----------------------------------------------------------------- guts
@@ -236,7 +274,6 @@ class CoherentMemorySystem:
         tile: int,
         addr: int,
         exclusive: bool,
-        allocate_private: bool = True,
         now: int = 0,
     ) -> MemoryAccessOutcome:
         home = self.address_map.home_tile(addr)
@@ -256,36 +293,27 @@ class CoherentMemorySystem:
 
         entry = self.l2[home].entry(addr)
         if exclusive:
-            latency += self._invalidate_all(home, addr, except_tile=tile)
+            latency += self._invalidate_holders(home, addr, entry, tile)
             entry.sharers.clear()
             entry.owner = None
-            if allocate_private:
-                entry.set_owner(tile)
+            entry.set_owner(tile)
+            grant = MesiState.MODIFIED
         else:
             if entry.owner is not None and entry.owner != tile:
                 latency += self._downgrade_owner(home, addr)
             if entry.owner == tile:
                 entry.owner = None  # stale; re-granted below
-            if allocate_private:
-                if entry.uncached and not exclusive:
-                    entry.set_owner(tile)  # grant Exclusive
-                else:
-                    entry.add_sharer(tile)
+            if entry.uncached:
+                entry.set_owner(tile)
+                grant = MesiState.EXCLUSIVE
+            else:
+                entry.add_sharer(tile)
+                grant = MesiState.SHARED
 
         self._noc_transfer(3, home, tile, RESPONSE_FLITS)
-        if allocate_private:
-            grant = (
-                MesiState.MODIFIED
-                if exclusive
-                else (
-                    MesiState.EXCLUSIVE
-                    if entry.owner == tile
-                    else MesiState.SHARED
-                )
-            )
-            self._fill_l15(tile, addr, grant)
-            if not exclusive:
-                self._fill_l1d(tile, addr)
+        self._fill_l15(tile, addr, grant)
+        if not exclusive:
+            self._fill_l1d(tile, addr)
         outcome = MemoryAccessOutcome(latency, level, hops, turns, home)
         if self.checker is not None:
             self.checker.check_access(outcome)
@@ -303,7 +331,7 @@ class CoherentMemorySystem:
             )
         entry = self.l2[home].entry(addr)
         latency = self.latency.l2_hit(hops, turns)
-        latency += self._invalidate_all(home, addr, except_tile=tile)
+        latency += self._invalidate_holders(home, addr, entry, tile)
         entry.sharers.clear()
         entry.owner = None
         entry.set_owner(tile)
@@ -315,12 +343,14 @@ class CoherentMemorySystem:
             latency, "l2_local" if hops == 0 else "l2_remote", hops, turns, home
         )
 
-    def _invalidate_all(self, home: int, addr: int, except_tile: int) -> int:
-        """Invalidate every private copy except ``except_tile``'s.
+    def _invalidate_holders(
+        self, home: int, addr: int, entry: DirectoryEntry, except_tile: int
+    ) -> int:
+        """Invalidate every private copy ``entry`` (the line's directory
+        entry at ``home``) records, except ``except_tile``'s.
 
         Returns the added latency (the slowest invalidation round trip).
         """
-        entry = self.l2[home].entry(addr)
         worst = 0
         targets = set(entry.sharers)
         if entry.owner is not None:
@@ -415,10 +445,21 @@ class CoherentMemorySystem:
 
         The directory tracks 64B L2 lines while the L1/L1.5 hold 16B
         lines, so one coherence action must sweep all four sub-lines.
+        A sub-line without an L1.5 state is in neither private cache
+        (L1.5-resident lines are exactly the state keys and the L1D is
+        a subset of them, which :meth:`check_invariants` verifies), so
+        the sweep skips it.
         """
+        states = self._l15_state[tile]
+        if not states:
+            return False
         dirty = False
-        for subline in self._l2_sublines(addr):
-            state = self._l15_state[tile].pop(subline, None)
+        base = addr // self._l2_bytes * self._l2_bytes
+        for offset in self._subline_offsets:
+            subline = base + offset
+            state = states.pop(subline, None)
+            if state is None:
+                continue
             dirty = dirty or state is MesiState.MODIFIED
             self.l1d[tile].invalidate(subline)
             self.l15[tile].invalidate(subline)
@@ -480,9 +521,26 @@ class CoherentMemorySystem:
 
     # ------------------------------------------------------------- invariants
     def check_invariants(self) -> None:
-        """Protocol safety: single writer, directory/private agreement."""
+        """Protocol safety: single writer, directory/private agreement,
+        and private-cache inclusion: per tile, the L1.5-resident lines
+        are exactly the lines with a MESI state, and every L1D line
+        lies in one of them."""
         for slice_ in self.l2:
             slice_.check_invariants()
+        for tile in range(self.config.tile_count):
+            states = self._l15_state[tile]
+            resident = set(self.l15[tile].resident_lines())
+            if resident != states.keys():
+                raise CoherenceError(
+                    f"tile {tile}: L1.5 lines without a MESI state "
+                    f"{sorted(resident - states.keys())}, states without "
+                    f"an L1.5 line {sorted(states.keys() - resident)}"
+                )
+            for line in self.l1d[tile].resident_lines():
+                if self._l15_line(tile, line) not in states:
+                    raise CoherenceError(
+                        f"tile {tile}: L1D line {line:#x} has no L1.5 copy"
+                    )
         # Collect private states per line.
         holders: dict[int, list[tuple[int, MesiState]]] = {}
         for tile in range(self.config.tile_count):

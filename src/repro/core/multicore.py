@@ -8,6 +8,28 @@ counted as stall cycles in bulk. Idle gaps (every core stalled on a
 long latency) are fast-forwarded. The cost of simulation thus scales
 with instructions issued and memory transactions, not with cycles
 elapsed or with stall bookkeeping.
+
+A *visit* is a cycle the run loop stops at because some core has an
+event due. A core's step may issue a *block* (see
+:mod:`repro.core.pipeline`), many register-only issues at once, and
+the cycles of its issues after the first are then visits no loop
+iteration makes. The engine keeps them as a bit mask of *virtual
+visits* and accounts them as the visits per-instruction stepping would
+have made, which two behaviours depend on:
+
+* a draining core (every thread finished, stores still buffered) is
+  stepped at every visit, and a visited cycle is not a stall for it,
+  while a fast-forwarded one is;
+* fast-forwarded stall cycles enter the ledger through one
+  ``record("core.stall_cycle", ...)`` ahead of the cores' flushes, so
+  whether any cycle was fast-forwarded decides where that key sits
+  (and :meth:`~repro.power.chip_power.ChipPowerModel.event_power`
+  sums in key order).
+
+So a virtual visit counts as a visit, never as a fast-forwarded cycle.
+Every block issue cycle lies below the run deadline, the
+``max_cycles`` bound and the next invariant sweep, which therefore
+happen at the same real visits as under per-instruction stepping.
 """
 
 from __future__ import annotations
@@ -157,6 +179,13 @@ class MulticoreEngine:
             if checker is not None
             else far_future
         )
+        # Block issue cycles stay below every cycle the loop checks.
+        stop_at = start_cycle + max_cycles
+        if deadline is not None and deadline < stop_at:
+            stop_at = deadline
+        limit = min(stop_at, next_check)
+        for core in active:
+            core.issue_limit = limit
         # A visit is a cycle the loop stops at. A core is stepped at a
         # visit only when its next event is due, or while no thread of
         # it is unfinished: a visited cycle of a core that only drains
@@ -164,8 +193,10 @@ class MulticoreEngine:
         # Every visit a core sits out counts as a stall cycle, charged
         # when it next steps or when the run ends. (Fast-forwarded
         # cycles count as stalls for every active core, draining or
-        # not.)
+        # not.) Bit j of ``virtual`` marks cycle now + j as an issue
+        # cycle of a block in flight: a visit the loop skips.
         visit = 0
+        virtual = 0
         for core in active:
             core.stepped_visit = 0
 
@@ -175,6 +206,9 @@ class MulticoreEngine:
                 if checker is not None and now >= next_check:
                     checker.check_engine(self)
                     next_check = now + self.CHECK_INTERVAL
+                    limit = min(stop_at, next_check)
+                    for core in active:
+                        core.issue_limit = limit
                 if deadline is not None and now >= deadline:
                     break
                 if now - start_cycle >= max_cycles:
@@ -192,6 +226,13 @@ class MulticoreEngine:
                             core.charge_stalls(idle)
                         core.stepped_visit = visit
                         next_event = core.step(now)
+                        bits = core.block_bits
+                        if bits:
+                            # The block's later issue cycles are visits
+                            # at which the core counts as stepped.
+                            core.block_bits = 0
+                            virtual |= bits
+                            core.stepped_visit = visit + bits.bit_count()
                         if core.done:
                             finished = True
                             continue
@@ -205,6 +246,14 @@ class MulticoreEngine:
                 if deadline is not None and next_now > deadline:
                     next_now = deadline
                 skipped = next_now - now - 1
+                if virtual:
+                    if skipped > 0:
+                        passed = virtual & ((2 << skipped) - 2)
+                        if passed:
+                            passed = passed.bit_count()
+                            visit += passed
+                            skipped -= passed
+                    virtual >>= next_now - now
                 if skipped > 0:
                     # Fast-forward across globally idle cycles; the
                     # skipped cycles are stall cycles for every core
@@ -220,6 +269,8 @@ class MulticoreEngine:
                 idle = visit - core.stepped_visit
                 if idle:
                     core.charge_stalls(idle)
+            for core in cores:
+                core.issue_limit = 0
             if ff_stall_events:
                 self.ledger.record("core.stall_cycle", ff_stall_events)
             for core in cores:

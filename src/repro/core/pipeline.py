@@ -14,24 +14,51 @@ Timing rules (all from the paper / OpenSPARC T1 documentation):
   performs the real (coherent) L1.5 write at drain time.
 
 Hot-loop design: the engine steps a core only at the cycles where an
-event of it is due (see :mod:`repro.core.multicore`), so there are
-about as many steps as issued instructions — hundreds of thousands per
-experiment — and each one avoids per-event string hashing and
-per-instruction lookups. An issue is a table dispatch: the thread
-holds its stream's precomputed ``OpcodeInfo`` and semantics-handler
-tables, and calls ``handlers[pc]`` into the one
+event of it is due (see :mod:`repro.core.multicore`), and each step
+avoids per-event string hashing and per-instruction lookups. An issue
+is a table dispatch: the thread holds its stream's precomputed
+``OpcodeInfo`` and semantics-handler tables, and calls
+``handlers[pc]`` into the one
 :class:`~repro.core.semantics.ExecOutcome` the core reuses. Core-side
 energy events accumulate in interned integer counters (per instruction
 class) and are folded into the shared :class:`EventLedger` once per
 engine run via :meth:`Core.flush_events`.
+
+Block issue: when the selected thread sits at a register-only run
+(:mod:`repro.core.blocks`), one step issues a *block*: every issue the
+per-instruction path would make from this cycle on, until the selected
+thread's next instruction lies outside its run, as compiled code.
+
+* A block holds no load, store or ``cas`` and never a program's last
+  instruction, so memory ops keep the per-instruction path and no
+  thread finishes inside a block.
+* Every issue cycle of a block lies below :attr:`Core.issue_limit`
+  (the engine keeps it at the earliest of its run deadline,
+  ``max_cycles`` bound and next invariant sweep) and below the core's
+  next store-buffer drain, so the check schedule and the drain order
+  are unchanged.
+* At two threads a block is the round-robin interleave of both
+  threads' runs, which depends only on static latencies, and the
+  core's next event falls after the block's last issue.
+* A block accounts exactly what per-instruction steps would have:
+  cycles, issues, stall cycles between issues (through the engine),
+  thread switches, the round-robin pointer, ``ready_at``, per-thread
+  instruction and branch counts, and per-class counts and activity
+  weights. It reports its issue cycles after the first in
+  :attr:`Core.block_bits`, for the engine to count as visits.
+* Cores with execution drafting and two threads keep the
+  per-instruction path: draft status depends on both threads' pcs at
+  every issue.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.arch.params import PitonConfig
 from repro.cache.system import CoherentMemorySystem
+from repro.core.blocks import schedule
 from repro.core.semantics import ExecOutcome
 from repro.core.storebuffer import StoreBuffer, StoreEntry
 from repro.core.thread import ThreadContext
@@ -108,6 +135,15 @@ class Core:
         self.next_event = 0
         #: The engine's visit index of this core's last step.
         self.stepped_visit = 0
+        #: Issue offsets after the first of the block the last step
+        #: issued, as a bit mask (0 when it issued no block); the
+        #: engine consumes and clears it.
+        self.block_bits = 0
+        #: Issues of a step stay below this cycle. The engine sets it
+        #: for the length of a run; 0 outside one, where every step
+        #: issues at most one instruction.
+        self.issue_limit = 0
+        self._blocks = not (execution_drafting and len(self.threads) > 1)
         # One outcome reused for every issued instruction.
         self._outcome = ExecOutcome()
         self._reset_event_counters()
@@ -161,21 +197,27 @@ class Core:
     # ------------------------------------------------------------------- step
     def charge_stalls(self, cycles: int) -> None:
         """Account ``cycles`` visited cycles the engine did not step
-        this core in because its next event was not yet due: exactly
-        what stepping it would have recorded, one stall cycle each."""
+        this core in: exactly what stepping it would have recorded.
+        With a thread unfinished the core was not due, so each is a
+        stall cycle. A draining core (every thread finished, stores
+        still buffered) sits out only the issue cycles of other cores'
+        blocks, which are not stalls for it."""
         stats = self.stats
         stats.cycles += cycles
-        stats.stall_cycles += cycles
-        self._stall_cycle_events += cycles
+        if self._undone:
+            stats.stall_cycles += cycles
+            self._stall_cycle_events += cycles
 
     def step(self, now: int) -> int:
         """Advance one cycle: drain stores, select a thread, issue.
 
-        Returns the core's next-event cycle, the earliest future cycle
-        at which it can make progress, and keeps it as
-        :attr:`next_event`. The engine steps the core again only once
-        that cycle is due, and fast-forwards globally idle gaps to the
-        earliest one without a second scan over threads.
+        Issues one instruction, or a block whose issue cycles all lie
+        below :attr:`issue_limit`. Returns the core's next-event cycle,
+        the earliest cycle after the last issue at which it can make
+        progress, and keeps it as :attr:`next_event`. The engine steps
+        the core again only once that cycle is due, and fast-forwards
+        globally idle gaps to the earliest one without a second scan
+        over threads.
         """
         stats = self.stats
         stats.cycles += 1
@@ -212,6 +254,11 @@ class Core:
                 self.done = True
         else:
             pc = thread.pc
+            entry = thread.runs[pc]
+            if entry is not None and self._blocks:
+                best = self._issue_block(thread, entry, now)
+                if best:
+                    return best
             info = thread.infos[pc]
             if info.is_store and store_buffer.full:
                 # Speculative store issue: detect a full buffer *before*
@@ -296,6 +343,125 @@ class Core:
             best = now + 1
         self.next_event = best
         return best
+
+    # ----------------------------------------------------------------- blocks
+    def _issue_block(self, thread: ThreadContext, entry, now: int) -> int:
+        """Issue the block starting with ``thread``'s run ``entry`` at
+        ``now``; returns the next-event cycle, or 0 when the block
+        would hold fewer than two issues (the caller then issues one
+        instruction)."""
+        run, index = entry
+        limit = self.issue_limit
+        drain = self.store_buffer._head_done_at
+        if drain is not None and drain < limit:
+            limit = drain
+        threads = self.threads
+        if len(threads) == 2:
+            other = threads[1] if thread is threads[0] else threads[0]
+            if not other.done:
+                other_entry = other.runs[other.pc]
+                if other_entry is not None:
+                    return self._issue_pair(
+                        thread, entry, other, other_entry, now, limit
+                    )
+                # The other thread issues nothing in the block: the
+                # block ends once it is ready (the pointer favours it).
+                ready = other.ready_at
+                if ready <= now:
+                    return 0
+                if ready < limit:
+                    limit = ready
+        cyc = run.cyc
+        base = cyc[index]
+        n = run.n
+        span = limit - now
+        if cyc[n - 1] - base < span:
+            stop = n
+        else:
+            stop = bisect_left(cyc, base + span, index + 1, n)
+        k = stop - index
+        if k < 2:
+            return 0
+        self._execute(thread, run, index, k)
+        thread.ready_at = now + cyc[stop] - base
+        end = cyc[stop - 1] - base
+        bits = (run.bits >> base) & ((2 << end) - 2)
+        return self._close_block(now, k, thread, thread, 0, bits, end)
+
+    def _issue_pair(self, a: ThreadContext, entry_a, b: ThreadContext,
+                    entry_b, now: int, limit: int) -> int:
+        """A two-thread block: ``a`` issues at ``now``, then the
+        round-robin interleave of both threads' runs."""
+        run_a, index_a = entry_a
+        run_b, index_b = entry_b
+        (k_a, k_b, ready_a, ready_b, last_b, switches, bits,
+         end) = schedule(
+            run_a, index_a, run_b, index_b, b.ready_at - now, limit - now
+        )
+        if k_a + k_b < 2:
+            return 0
+        self._execute(a, run_a, index_a, k_a)
+        a.ready_at = now + ready_a
+        if k_b:
+            self._execute(b, run_b, index_b, k_b)
+            b.ready_at = now + ready_b
+        return self._close_block(
+            now, k_a + k_b, a, b if last_b else a, switches, bits, end
+        )
+
+    def _close_block(self, now: int, k: int, first: ThreadContext,
+                     final: ThreadContext, switches: int, bits: int,
+                     end: int) -> int:
+        """Account a block of ``k`` issues from ``first``'s at ``now``
+        to ``final``'s at ``now + end`` (``switches`` thread switches
+        between them, issue offsets after the first in ``bits``), and
+        return the next-event cycle: the earliest ready unfinished
+        thread or pending drain, but after the block's last issue."""
+        stats = self.stats
+        stats.issued += k
+        stats.cycles += k - 1
+        self._issues += k
+        last = self._last_issued_thread
+        if last is not None and last != first.thread_id:
+            switches += 1
+        self._thread_switches += switches
+        self._last_issued_thread = final.thread_id
+        threads = self.threads
+        if len(threads) == 2:
+            self._rr_next = 1 if final is threads[0] else 0
+        self.block_bits = bits
+        best = self.store_buffer._head_done_at
+        for t in threads:
+            if not t.done and (best is None or t.ready_at < best):
+                best = t.ready_at
+        if best <= now + end:
+            best = now + end + 1
+        self.next_event = best
+        return best
+
+    def _execute(self, thread: ThreadContext, run, index: int,
+                 k: int) -> None:
+        """Run ``k`` instructions of ``thread``'s run from ``index`` and
+        account them to the thread."""
+        stop = index + k
+        if index == 0 and stop == run.n:
+            taken = run.full(thread.regs, thread.fregs, self._class_counts,
+                             self._class_weights)
+        else:
+            taken = run.part(thread.regs, thread.fregs, self._class_counts,
+                             self._class_weights, index, stop)
+        thread_stats = thread.stats
+        thread_stats.instructions += k
+        pc = thread.pc + k
+        if stop == run.n and run.branch:
+            thread_stats.branches += 1
+            if taken:
+                thread_stats.branches_taken += 1
+                target = thread.instructions[pc - 1].target
+                if target <= pc - 1:
+                    thread_stats.iterations += 1
+                pc = target
+        thread.pc = pc
 
     # ------------------------------------------------------------------ parts
     def _drain_stores(self, now: int) -> None:

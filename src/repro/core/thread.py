@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.blocks import resolve_runs
 from repro.core.semantics import resolve_handlers
 from repro.isa.instructions import NUM_FP_REGS, NUM_INT_REGS, WORD_MASK
 from repro.isa.program import Program
@@ -43,7 +44,9 @@ class ThreadContext:
     list, resolved info list, and length — cached here so the issue
     loop reads them without attribute chains through ``program``.
     ``handlers`` is the stream's memoized semantics handler table
-    (see :func:`~repro.core.semantics.resolve_handlers`).
+    (see :func:`~repro.core.semantics.resolve_handlers`), and ``runs``
+    its memoized per-pc block-issue entries (see
+    :func:`~repro.core.blocks.resolve_runs`).
     """
 
     thread_id: int
@@ -57,6 +60,7 @@ class ThreadContext:
     instructions: list = field(init=False, repr=False, compare=False)
     infos: list = field(init=False, repr=False, compare=False)
     handlers: tuple = field(init=False, repr=False, compare=False)
+    runs: tuple = field(init=False, repr=False, compare=False)
     end: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -65,6 +69,7 @@ class ThreadContext:
         self.handlers = resolve_handlers(
             tuple(i.op for i in self.instructions)
         )
+        self.runs = resolve_runs(tuple(self.instructions))
         self.end = len(self.instructions)
 
     def read_int(self, index: int) -> int:

@@ -4,10 +4,15 @@ The open-source advantage the paper leans on is being able to correlate
 measurements with the RTL; the simulator's equivalent is an
 instruction-level trace. :class:`TraceRecorder` attaches to a
 :class:`~repro.core.pipeline.Core` and captures every issue (cycle,
-thread, pc, opcode, memory address, latency class), with bounded memory
-and simple query helpers — enough to verify "no extraneous activity
-occurred", the check the paper performed on its EPI tests through RTL
-simulation.
+thread, pc, opcode), with bounded memory and simple query helpers —
+enough to verify "no extraneous activity occurred", the check the paper
+performed on its EPI tests through RTL simulation.
+
+One step can issue a whole block (see :mod:`repro.core.pipeline`). The
+recorder learns from each step how many instructions every thread
+committed and replays the core's round-robin selection over those
+issues with their static latencies, so every entry carries its real
+cycle, thread and pc, whether it issued alone or inside a block.
 """
 
 from __future__ import annotations
@@ -55,27 +60,22 @@ class TraceRecorder:
         entries = self.entries
 
         def traced_step(now: int) -> int:
-            # Snapshot per-thread commit counts and PCs, step, then
-            # attribute the issue (if any) to the thread that advanced
-            # — exact, and immune to roll-backs (which issue nothing).
+            # Snapshot what thread selection reads, step, then replay
+            # the selection over the issues each thread committed —
+            # exact, and immune to roll-backs (which issue nothing).
+            threads = core.threads
             before = [
-                (t.stats.instructions, t.pc) for t in core.threads
+                (t.stats.instructions, t.pc, t.ready_at, t.done)
+                for t in threads
             ]
+            rr = core._rr_next
             next_event = original(now)
-            for thread, (count, pc) in zip(core.threads, before):
-                if thread.stats.instructions == count + 1:
-                    instr = thread.program[pc]
-                    entries.append(
-                        TraceEntry(
-                            cycle=now,
-                            tile=core.tile_id,
-                            thread=thread.thread_id,
-                            pc=pc,
-                            op=instr.op,
-                            mem_addr=None,
-                        )
-                    )
-                    break
+            left = [
+                t.stats.instructions - count
+                for t, (count, *_) in zip(threads, before)
+            ]
+            if any(left):
+                _replay(core, before, rr, left, now, entries)
             return next_event
 
         self._original_step = original
@@ -111,3 +111,50 @@ class TraceRecorder:
             return 0.0
         span = self.entries[-1].cycle - self.entries[0].cycle + 1
         return len(self.entries) / span
+
+
+def _replay(core: Core, before, rr: int, left: list[int], now: int,
+            entries) -> None:
+    """Append the issues one step made: ``left[i]`` instructions of
+    thread ``i``, selected round-robin from pointer ``rr`` among ready
+    threads from cycle ``now`` on. Only a block issues more than one,
+    and a block's instructions are sequential register-only ops whose
+    latencies are static."""
+    threads = core.threads
+    n = len(threads)
+    pcs = [pc for _, pc, _, _ in before]
+    ready = [r for _, _, r, _ in before]
+    live = [not done for _, _, _, done in before]
+    t = now
+    remaining = sum(left)
+    while remaining:
+        selected = None
+        for j in range(n):
+            i = (rr + j) % n
+            if live[i] and ready[i] <= t:
+                selected = i
+                break
+        if selected is None:
+            t = min(r for r, ok in zip(ready, live) if ok)
+            continue
+        if not left[selected]:
+            break
+        thread = threads[selected]
+        pc = pcs[selected]
+        instr = thread.program[pc]
+        entries.append(
+            TraceEntry(
+                cycle=t,
+                tile=core.tile_id,
+                thread=thread.thread_id,
+                pc=pc,
+                op=instr.op,
+                mem_addr=None,
+            )
+        )
+        ready[selected] = t + thread.infos[pc].latency
+        pcs[selected] = pc + 1
+        left[selected] -= 1
+        remaining -= 1
+        rr = (selected + 1) % n
+        t += 1

@@ -39,7 +39,14 @@ from typing import TYPE_CHECKING
 
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.surrogate.dispatch import tier_accepts
-from repro.util.io import atomic_write_bytes, frame, quarantine, unframe
+from repro.util.io import (
+    TEMP_PREFIX,
+    atomic_write_bytes,
+    frame,
+    orphaned_temp,
+    quarantine,
+    unframe,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system import SimOutcome
@@ -172,11 +179,14 @@ class ResultCache:
             return 0
         return sum(1 for _ in root.rglob("*.cas"))
 
-    def _entries(self) -> list[tuple[float, int, Path]]:
-        """Every live entry as ``(mtime, size, path)``; racing-unlink
-        tolerant (a concurrent GC or writer is normal operation)."""
+    def _entries(
+        self, pattern: str = "*.cas"
+    ) -> list[tuple[float, int, Path]]:
+        """Every live entry (or other file matching ``pattern``) as
+        ``(mtime, size, path)``; racing-unlink tolerant (a concurrent
+        GC or writer is normal operation)."""
         out: list[tuple[float, int, Path]] = []
-        for path in self.root.rglob("*.cas"):
+        for path in self.root.rglob(pattern):
             try:
                 st = path.stat()
             except OSError:
@@ -184,12 +194,27 @@ class ResultCache:
             out.append((st.st_mtime, st.st_size, path))
         return out
 
+    def _sweep_orphans(self) -> int:
+        """Delete the temp files of writers that died mid-``put``
+        (their pid is gone; a live writer's temp is left alone).
+        Returns the bytes still held by live writers' temps."""
+        held = 0
+        for _mtime, size, path in self._entries(TEMP_PREFIX + "*"):
+            if orphaned_temp(path):
+                path.unlink(missing_ok=True)
+            else:
+                held += size
+        return held
+
     def stats(self) -> dict[str, int]:
-        """The CAS section of the shared status document."""
+        """The CAS section of the shared status document. ``bytes``
+        counts temp files too: a crashed write's orphan takes disk
+        until :meth:`gc` or :meth:`scrub` removes it."""
         entries = self._entries()
         return {
             "entries": len(entries),
-            "bytes": sum(size for _, size, _ in entries),
+            "bytes": sum(size for _, size, _ in entries)
+            + sum(size for _, size, _ in self._entries(TEMP_PREFIX + "*")),
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -201,10 +226,13 @@ class ResultCache:
 
         Returns how many entries were evicted. Eviction is safe at any
         moment: a reader that loses the race sees a miss and
-        re-simulates; a writer re-creates the entry atomically.
+        re-simulates; a writer re-creates the entry atomically. Orphaned
+        temp files go first; live writers' temps count toward the
+        total but stay.
         """
+        held = self._sweep_orphans()
         entries = self._entries()
-        total = sum(size for _, size, _ in entries)
+        total = held + sum(size for _, size, _ in entries)
         evicted = 0
         for _mtime, size, path in sorted(entries):
             if total <= quota_bytes:
@@ -225,8 +253,10 @@ class ResultCache:
         ``.damaged`` suffix — out of every read path (readers glob
         ``*.cas``) but inspectable — and counted as a repair: the next
         request for that key is a clean miss that overwrites nothing.
-        Returns how many entries were quarantined.
+        Orphaned temp files are deleted. Returns how many entries were
+        quarantined.
         """
+        self._sweep_orphans()
         repaired = 0
         for _mtime, _size, path in self._entries():
             try:

@@ -55,7 +55,7 @@ import signal
 import sys
 from pathlib import Path
 
-from repro.experiments import EXPERIMENTS, RunContext, get_spec
+from repro.experiments import EXPERIMENTS
 from repro.experiments.context import DEFAULT_CHECKPOINT_DIR
 from repro.resilience.signals import EXIT_RESUMABLE
 from repro.serve.cas import DEFAULT_CAS_DIR, ResultCache

@@ -8,7 +8,10 @@ snapshots, surrogate profiles, checkpoint metadata — goes through
 destination, and the directory entry is fsynced. An interrupt
 (Ctrl-C, SIGKILL, power loss) at any instant leaves either the
 complete old file or the complete new one, plus at worst a stray
-temp file that :func:`sweep_temp_files` removes.
+temp file that :func:`sweep_temp_files` removes. A temp file's name
+carries its writer's pid (``.tmp-<pid>-...``), so a store shared by
+live writers can tell a crashed write's orphan from a write in flight
+(:func:`orphaned_temp`).
 
 The three binary record kinds share one frame (:func:`frame` /
 :func:`unframe`)::
@@ -31,9 +34,9 @@ from pathlib import Path
 
 #: crc32(header + payload), len(payload) — right after the magic.
 _FRAME = struct.Struct(">IQ")
-#: Prefix of in-flight temp files; a crash mid-write leaves one behind
-#: for :func:`sweep_temp_files`.
-_TEMP_PREFIX = ".tmp-"
+#: Prefix of in-flight temp files (``.tmp-<writer pid>-<random>``); a
+#: crash mid-write leaves one behind for :func:`sweep_temp_files`.
+TEMP_PREFIX = ".tmp-"
 
 
 def frame(magic: bytes, payload: bytes, header: bytes = b"") -> bytes:
@@ -81,7 +84,9 @@ def atomic_write_bytes(path: Path | str, data: bytes) -> Path:
     """
     path = Path(path)
     parent = path.parent
-    fd, tmp_name = tempfile.mkstemp(prefix=_TEMP_PREFIX, dir=parent)
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=f"{TEMP_PREFIX}{os.getpid()}-", dir=parent
+    )
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -106,8 +111,23 @@ def atomic_write_text(
 
 def sweep_temp_files(root: Path) -> None:
     """Delete the temp files of writes a crash cut short under ``root``."""
-    for tmp in root.glob(_TEMP_PREFIX + "*"):
+    for tmp in root.glob(TEMP_PREFIX + "*"):
         tmp.unlink(missing_ok=True)
+
+
+def orphaned_temp(path: Path) -> bool:
+    """Whether temp file ``path`` outlived its writer: the pid in its
+    name is not a live process (or it carries none)."""
+    pid = path.name[len(TEMP_PREFIX):].partition("-")[0]
+    if not pid.isdigit() or int(pid) <= 0:
+        return True
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, owned by another user
+        return False
+    return False
 
 
 def quarantine(path: Path, into: Path) -> bool:

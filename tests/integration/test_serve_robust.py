@@ -31,7 +31,6 @@ from repro.check.faults import (
     disarm_serve_fault,
     disarm_worker_fault,
 )
-from repro.resilience import EXIT_RESUMABLE
 from repro.serve import JobJournal, SimulationService
 from repro.sweepspec import SWEEPSPEC_SCHEMA_VERSION
 

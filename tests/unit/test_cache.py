@@ -311,6 +311,39 @@ class TestCoherentMemorySystem:
         assert 0 not in ms._l15_state[1]
         ms.check_invariants()
 
+    def test_l1d_line_without_l15_copy_breaks_inclusion(self):
+        """The CAS path skips sub-lines without an L1.5 state, which is
+        exact only while the L1D holds nothing the L1.5 does not."""
+        ms, _ = self.make()
+        ms.load(0, 0x0)
+        ms.check_invariants()
+        ms.l1d[0].fill(0x100)  # planted: no L1.5 copy, no MESI state
+        with pytest.raises(CoherenceError, match="L1D line 0x100"):
+            ms.check_invariants()
+
+    def test_l15_line_without_state_breaks_inclusion(self):
+        ms, _ = self.make()
+        ms.load(0, 0x0)
+        del ms._l15_state[0][0x0]
+        with pytest.raises(CoherenceError, match="without a MESI state"):
+            ms.check_invariants()
+
+    def test_atomic_invalidates_other_holders_only(self):
+        ms, ledger = self.make()
+        ms.load(0, 0x0)
+        ms.load(1, 0x10)  # another sub-line of the same L2 line
+        before = ledger.count("noc2.flit")
+        ms.atomic(2, 0x0)
+        assert ms._l15_state[0] == {} and ms._l15_state[1] == {}
+        assert ms.l1d[0].stats.invalidations == 1
+        assert ms.l15[1].stats.invalidations == 1
+        # One 2-flit invalidation per holder.
+        assert ledger.count("noc2.flit") - before == 2 * 2
+        home = ms.address_map.home_tile(0x0)
+        assert ms.l2[home].directory == {}
+        assert ms.l2[home].tags.is_dirty(0x0)
+        ms.check_invariants()
+
     def test_l15_capacity_eviction_notifies_home(self):
         config = PitonConfig()
         ms, _ = self.make()

@@ -4,13 +4,17 @@ matrix, and the CasJournal adapter the grid executors consume."""
 
 from __future__ import annotations
 
-import pickle
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
 from repro.obs import Tracer
 from repro.serve.cas import CacheEntry, CasJournal, ResultCache
+from repro.util import io
 
 
 @dataclass
@@ -72,6 +76,62 @@ class TestPutGet:
         assert cache.entry_count() == 2
         assert cache.entry_count("point") == 1
         assert cache.entry_count("absent") == 0
+
+
+class TestOrphanedTemps:
+    """A writer that dies mid-``put`` leaves ``.tmp-<pid>-*`` behind:
+    counted by ``stats`` and removed by ``gc``/``scrub`` once that pid
+    is gone, while a live writer's temp stays."""
+
+    @staticmethod
+    def _exited_pid() -> int:
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        return child.pid
+
+    def _plant(self, cache, name: str) -> tuple[Path, Path]:
+        cache.put("run", DIGEST, b"entry payload")
+        [entry] = cache.root.rglob("*.cas")
+        temp = entry.parent / name
+        temp.write_bytes(b"\0" * 4096)
+        return entry, temp
+
+    def test_orphan_counted_then_collected(self, cache):
+        entry, orphan = self._plant(
+            cache, f".tmp-{self._exited_pid()}-orphan"
+        )
+        assert cache.stats()["bytes"] == entry.stat().st_size + 4096
+        cache.gc(quota_bytes=0)
+        assert not orphan.exists()
+        assert cache.stats()["bytes"] == 0
+
+    def test_scrub_collects_orphans(self, cache):
+        _, orphan = self._plant(cache, f".tmp-{self._exited_pid()}-orphan")
+        assert cache.scrub() == 0
+        assert not orphan.exists()
+
+    def test_live_writers_temp_survives(self, cache):
+        _, live = self._plant(cache, f".tmp-{os.getpid()}-live")
+        cache.gc(quota_bytes=0)
+        assert live.exists()
+        cache.scrub()
+        assert live.exists()
+        assert cache.stats()["bytes"] == 4096
+
+    def test_temp_names_carry_the_writer_pid(self, tmp_path, monkeypatch):
+        seen = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            seen.append(Path(src).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(io.os, "replace", spy)
+        io.atomic_write_bytes(tmp_path / "record", b"x")
+        [name] = seen
+        assert name.startswith(f".tmp-{os.getpid()}-")
+        assert not io.orphaned_temp(tmp_path / name)
+        assert io.orphaned_temp(tmp_path / ".tmp-orphan")
 
 
 class TestCorruption:
