@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import struct
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping
 
@@ -61,6 +62,11 @@ def workload_can_touch_memory(
     return False
 
 
+#: What :meth:`BatchKey.to_bytes` hashes: the clockless digest, whether
+#: the clock counts, and the clock (0.0 when it does not).
+_KEY_FIELDS = struct.Struct(">32s?d")
+
+
 @dataclass(frozen=True)
 class BatchKey:
     """The timing class of one simulation request.
@@ -78,14 +84,24 @@ class BatchKey:
     def freq_independent(self) -> bool:
         return self.freq_token is None
 
+    def to_bytes(self) -> bytes:
+        """The key as a 32-byte SHA-256: what the checkpoint journal and
+        the result store key a timing class's record by. Equal keys
+        give equal bytes, and distinct keys distinct bytes."""
+        fields = _KEY_FIELDS.pack(
+            self.digest, self.freq_token is not None, self.freq_token or 0.0
+        )
+        return hashlib.sha256(fields).digest()
+
 
 def _clockless_digest(request: "SimRequest") -> bytes:
     """SHA-256 over the request's pickle with the clock zeroed out.
 
     Requests are plain dataclasses of scalars, lists, and
-    insertion-ordered dicts, so the pickle bytes are stable across
-    processes — the same property :func:`~repro.resilience.
-    request_digest` already relies on for ``--resume``.
+    insertion-ordered dicts (no sets), so the pickle bytes are stable
+    across processes and runs of the same code — which is also what
+    lets ``--resume`` and the result store match records written by
+    an earlier process.
     """
     surrogate = replace(request, freq_hz=1.0)
     return hashlib.sha256(

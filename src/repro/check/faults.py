@@ -451,13 +451,13 @@ def inject_job_journal_truncation(
 def inject_checkpoint_truncation(
     journal_dir: "Path | str", drop_bytes: int = 7, seed: int = 0
 ) -> FaultReport:
-    """Truncate the newest checkpoint segment (a torn tail write).
+    """Truncate the last checkpoint segment (a torn tail write).
 
     Models the one corruption the journal's atomic rename cannot rule
     out: a filesystem that lost the tail of an already-renamed segment
     (disk full, dirty shutdown before the data blocks flushed). The
     journal's CRC framing must detect it on resume and re-simulate
-    only the damaged point.
+    only the damaged segment's timing class: the points it listed.
     """
     del seed  # deterministic target; kept for the injector signature
     return _truncate_last(

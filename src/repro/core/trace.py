@@ -12,7 +12,9 @@ One step can issue a whole block (see :mod:`repro.core.pipeline`). The
 recorder learns from each step how many instructions every thread
 committed and replays the core's round-robin selection over those
 issues with their static latencies, so every entry carries its real
-cycle, thread and pc, whether it issued alone or inside a block.
+cycle, thread and pc, whether it issued alone or inside a block. A
+block never holds a load, store or ``cas``, so a memory op always
+issues alone, and its entry carries the address the issue computed.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.pipeline import Core
+from repro.isa.instructions import Unit
 
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One issued instruction."""
+    """One issued instruction; ``mem_addr`` is the effective address of
+    an ``ldx``/``stx``/``cas`` and ``None`` for every other op."""
 
     cycle: int
     tile: int
@@ -119,7 +123,8 @@ def _replay(core: Core, before, rr: int, left: list[int], now: int,
     thread ``i``, selected round-robin from pointer ``rr`` among ready
     threads from cycle ``now`` on. Only a block issues more than one,
     and a block's instructions are sequential register-only ops whose
-    latencies are static."""
+    latencies are static. A memory op issues alone, so the core's
+    outcome still holds its address."""
     threads = core.threads
     n = len(threads)
     pcs = [pc for _, pc, _, _ in before]
@@ -142,6 +147,7 @@ def _replay(core: Core, before, rr: int, left: list[int], now: int,
         thread = threads[selected]
         pc = pcs[selected]
         instr = thread.program[pc]
+        info = thread.infos[pc]
         entries.append(
             TraceEntry(
                 cycle=t,
@@ -149,10 +155,12 @@ def _replay(core: Core, before, rr: int, left: list[int], now: int,
                 thread=thread.thread_id,
                 pc=pc,
                 op=instr.op,
-                mem_addr=None,
+                mem_addr=(
+                    core._outcome.mem_addr if info.unit is Unit.MEM else None
+                ),
             )
         )
-        ready[selected] = t + thread.infos[pc].latency
+        ready[selected] = t + info.latency
         pcs[selected] = pc + 1
         left[selected] -= 1
         remaining -= 1

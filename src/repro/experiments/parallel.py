@@ -25,9 +25,11 @@ journaled points back on resume, asks the surrogate tier, simulates
 one representative per remaining group on a
 :class:`~repro.resilience.SupervisedPool` (in-process for
 ``jobs <= 1``; crashed and hung workers are retried), copies each
-outcome to its group's members, and journals every completed point the
-moment it exists. The measurement replay still walks the full grid in
-order, so resumed and batched results are bit-identical to serial ones.
+outcome to its group's members, and journals each simulated group the
+moment it completes: one record under the group's batch key, listing
+the members it served. The measurement replay still walks the full
+grid in order, so resumed and batched results are bit-identical to
+serial ones.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from repro.batch import plan_batches
+from repro.batch import BatchGroup, batch_key, plan_batches
 from repro.obs.trace import Tracer
-from repro.resilience import Supervision, SupervisedPool, request_digest
+from repro.resilience import Supervision, SupervisedPool
 from repro.system import SimOutcome, SimRequest, run_simulation
 from repro.util.events import EventLedger
 
@@ -62,10 +64,10 @@ def parallel_simulate(
 
     ``supervision`` configures failure handling: its
     :class:`~repro.resilience.RetryPolicy` bounds retries and
-    deadlines, its journal (if any) checkpoints each completed outcome
-    and serves journaled points back on resume, and its tracer records
-    the retry/timeout/resume counters. ``supervision=None`` runs under
-    the default policy with nothing journaled or counted.
+    deadlines, its journal (if any) checkpoints each simulated timing
+    class and serves journaled points back on resume, and its tracer
+    records the retry/timeout/resume counters. ``supervision=None``
+    runs under the default policy with nothing journaled or counted.
 
     An enabled ``tracer`` receives each point's build/simulate wall
     times (stamped on the outcome by :func:`~repro.system.run_simulation`,
@@ -107,9 +109,9 @@ def parallel_simulate(
                 stats_tracer.count(
                     "batch_debatch_events", plan.debatch_events
                 )
-        groups = [group.indices for group in plan.groups]
+        groups = plan.groups
     else:
-        groups = [(index,) for index in range(len(requests))]
+        groups = None
     outcomes = batched_simulate(
         requests,
         groups,
@@ -136,66 +138,72 @@ def _simulate_stripped(request: SimRequest) -> SimOutcome:
 def replicate_outcome(outcome: SimOutcome, n: int) -> list[SimOutcome]:
     """Fan one group outcome out to ``n`` independent member outcomes.
 
-    Member 0 is the representative's outcome itself. Members 1..n-1
-    each get a fresh ledger holding the same counts and weights in the
-    representative's event order (pricing sums floats in that order),
-    their own result and checker-count copies, and zeroed wall times
-    (their simulation cost was amortized into the representative's —
-    telemetry reports wall-clock actually spent, not wall-clock
-    saved). Downstream measurement, checking, and journaling treat
-    each point as if it had been simulated alone.
+    Member 0 is the representative's outcome itself; members 1..n-1
+    are :func:`_member_copy`\\ s of it. Downstream measurement and
+    checking treat each point as if it had been simulated alone.
     """
-    members = [outcome]
-    for _ in range(1, n):
-        ledger = EventLedger()
-        for name, value in outcome.ledger.counts.items():
-            ledger.counts[name] = value
-            ledger.weights[name] = outcome.ledger.weights[name]
-        members.append(
-            replace(
-                outcome,
-                ledger=ledger,
-                result=replace(outcome.result),
-                engine=None,
-                build_wall_s=0.0,
-                sim_wall_s=0.0,
-                check_counts=(
-                    dict(outcome.check_counts)
-                    if outcome.check_counts is not None
-                    else None
-                ),
-            )
-        )
-    return members
+    return [outcome] + [_member_copy(outcome) for _ in range(1, n)]
+
+
+def _member_copy(outcome: SimOutcome) -> SimOutcome:
+    """A group member's own outcome: a fresh ledger holding the same
+    counts and weights in the representative's event order (pricing
+    sums floats in that order), its own result and checker-count
+    copies, and zeroed wall times (its simulation cost was amortized
+    into the representative's — telemetry reports wall-clock actually
+    spent, not wall-clock saved)."""
+    ledger = EventLedger()
+    for name, value in outcome.ledger.counts.items():
+        ledger.counts[name] = value
+        ledger.weights[name] = outcome.ledger.weights[name]
+    return replace(
+        outcome,
+        ledger=ledger,
+        result=replace(outcome.result),
+        engine=None,
+        build_wall_s=0.0,
+        sim_wall_s=0.0,
+        check_counts=(
+            dict(outcome.check_counts)
+            if outcome.check_counts is not None
+            else None
+        ),
+    )
 
 
 def batched_simulate(
     requests: Sequence[SimRequest],
-    groups: Sequence[tuple[int, ...]],
+    groups: Sequence[BatchGroup] | None = None,
     jobs: int = 1,
     supervision: Supervision | None = None,
     fidelity: "FidelityPolicy | None" = None,
 ) -> Iterator[SimOutcome]:
     """Simulate a grid group-wise, yielding outcomes in grid order.
 
-    ``groups`` partitions the grid indices; every member of a group
-    must share its first member's simulation. Walking the groups in
-    order, each member is served from the journal (on resume) or the
-    surrogate when possible; the first still-missing member of each
-    group is simulated on a :class:`~repro.resilience.SupervisedPool`
-    under the supervision's retry/deadline policy, and its outcome is
-    copied to the group's other missing members.
+    ``groups`` partitions the grid indices into timing classes (a
+    :func:`~repro.batch.plan_batches` plan); ``None`` makes every
+    point its own group. Walking the groups in order, each member is
+    served from the journal (on resume) or the surrogate when
+    possible; the first still-missing member of each group is
+    simulated on a :class:`~repro.resilience.SupervisedPool` under the
+    supervision's retry/deadline policy, and its outcome is copied to
+    the group's other missing members.
 
-    A journaled outcome is only reused when ``fidelity``'s tier
-    accepts it (no silent surrogate reuse under ``--tier sim``;
-    counted as ``points_tier_rejected``). Every completed point is
-    appended to the journal under its own ``(index, request digest)``
-    the moment it exists, so the journal format never learns about
-    batching and an interrupt loses only in-flight work. The journal
-    is retired once the consumer has received the final outcome; a
-    consumer that abandons the grid mid-way — an interrupt unwinding
-    through the measurement replay — leaves every completed point on
-    disk for ``--resume``.
+    The journal keys every record by the group's batch key (with
+    ``groups=None`` each point's own key is computed, only when a
+    journal is attached). A point is served on resume only when its
+    index is a member of a verified record under its own key, and
+    only when ``fidelity``'s tier accepts the outcome (no silent
+    surrogate reuse under ``--tier sim``; counted as
+    ``points_tier_rejected``). Members served from one record get
+    their own copies, as :func:`replicate_outcome` gives them. Each
+    simulated group is appended as one record the moment it completes
+    and each surrogate-served point as one record of its own, so an
+    interrupt loses only in-flight work. The journal is retired once
+    the consumer has received the final outcome; a consumer that
+    abandons the grid mid-way — an interrupt unwinding through the
+    measurement replay — leaves every completed record on disk for
+    ``--resume``.
     """
     from repro.surrogate.dispatch import accepts_cached_outcome
 
@@ -204,30 +212,40 @@ def batched_simulate(
     )
     journal = supervision.journal
     count = supervision.tracer.count
-    digests = (
-        [request_digest(request) for request in requests]
-        if journal is not None
-        else []
-    )
+    if groups is None:
+        members = [(index,) for index in range(len(requests))]
+        keys = (
+            [batch_key(request) for request in requests]
+            if journal is not None
+            else []
+        )
+    else:
+        members = [group.indices for group in groups]
+        keys = [group.key for group in groups]
 
     outcomes: dict[int, SimOutcome] = {}
-    #: Missing-member index lists, one per group still needing its
+    #: ``(key, missing members)`` per group still needing its
     #: representative simulated (resume may have filled some or all
     #: members of a group from the journal, and the surrogate may
     #: have served others).
-    todo: list[list[int]] = []
-    for group in groups:
+    todo: list[tuple[bytes, list[int]]] = []
+    for position, group in enumerate(members):
+        key = keys[position].to_bytes() if journal is not None else b""
         missing: list[int] = []
+        source = None
         for index in group:
             if journal is not None:
-                cached = journal.get(index, digests[index])
+                cached = journal.get(index, key)
                 if cached is not None and not accepts_cached_outcome(
                     cached, fidelity
                 ):
                     count("points_tier_rejected")
                     cached = None
                 if cached is not None:
-                    outcomes[index] = cached
+                    outcomes[index] = (
+                        _member_copy(cached) if cached is source else cached
+                    )
+                    source = cached
                     count("points_resumed")
                     continue
             predicted = (
@@ -238,11 +256,11 @@ def batched_simulate(
             if predicted is not None:
                 outcomes[index] = predicted
                 if journal is not None:
-                    journal.append(index, digests[index], predicted)
+                    journal.append(key, (index,), predicted)
                 continue
             missing.append(index)
         if missing:
-            todo.append(missing)
+            todo.append((key, missing))
     if journal is not None:
         journal.write_meta(
             experiment_id=supervision.experiment_id,
@@ -250,14 +268,12 @@ def batched_simulate(
         )
 
     def on_result(todo_index: int, outcome: SimOutcome) -> None:
-        members = todo[todo_index]
-        replicas = replicate_outcome(outcome, len(members))
-        if len(members) > 1:
-            count("batch_points_replicated", len(members) - 1)
-        for index, replica in zip(members, replicas):
-            outcomes[index] = replica
-            if journal is not None:
-                journal.append(index, digests[index], replica)
+        key, group = todo[todo_index]
+        if len(group) > 1:
+            count("batch_points_replicated", len(group) - 1)
+        outcomes.update(zip(group, replicate_outcome(outcome, len(group))))
+        if journal is not None:
+            journal.append(key, group, outcome)
 
     pool = SupervisedPool(
         _simulate_stripped,
@@ -266,7 +282,7 @@ def batched_simulate(
         tracer=supervision.tracer,
     )
     pool.map(
-        [requests[missing[0]] for missing in todo],
+        [requests[group[0]] for _, group in todo],
         on_result=on_result,
     )
 

@@ -101,11 +101,11 @@ def build_requests(
 ):
     """Build every grid point's bench and simulation request, in order.
 
-    This is the one request-construction path shared by :func:`sweep`,
-    :meth:`repro.sweepspec.SweepSpec.requests`, and the ``repro
-    serve`` daemon — they must all produce byte-identical requests so
-    checkpoint journals and the content-addressed result cache key the
-    same point the same way everywhere.
+    This is the one request-construction path shared by :func:`sweep`
+    (and through it ``repro sweep``) and the ``repro serve`` daemon —
+    they must all produce byte-identical requests so checkpoint
+    journals and the content-addressed result cache key the same
+    timing class the same way everywhere.
 
     Returns ``(systems, requests)``: ``systems[i]`` is
     ``(point, resolved_freq_hz, PitonSystem)`` for the measurement

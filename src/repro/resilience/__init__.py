@@ -16,7 +16,8 @@ the failures long campaigns actually hit:
 * **operator interrupts** — every completed
   :class:`~repro.system.SimOutcome` is journaled to an append-only,
   CRC-checked checkpoint (:class:`CheckpointJournal`; one atomic
-  temp-file+rename segment per point), so SIGINT/SIGTERM
+  temp-file+rename segment per simulated timing class, listing the
+  grid points it served), so SIGINT/SIGTERM
   (:func:`resumable_signals`) checkpoints, tears the pool down
   cleanly, and exits with :data:`EXIT_RESUMABLE`; ``repro run <exp>
   --resume`` then skips the already-simulated points.
@@ -32,7 +33,6 @@ from repro.resilience.checkpoint import (
     CheckpointJournal,
     JournalStatus,
     journal_status,
-    request_digest,
 )
 from repro.resilience.policy import (
     RetryPolicy,
@@ -58,6 +58,5 @@ __all__ = [
     "backoff_schedule",
     "derive_deadline",
     "journal_status",
-    "request_digest",
     "resumable_signals",
 ]

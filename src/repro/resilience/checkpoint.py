@@ -1,34 +1,44 @@
-"""Journaled checkpoints: crash-safe records of completed points.
+"""Journaled checkpoints: crash-safe records of completed timing classes.
 
 A :class:`CheckpointJournal` is a directory holding one *segment* file
-per completed grid point plus a small ``meta.json``. Segments are
-written with :func:`repro.util.io.atomic_write_bytes`, so the journal
-never contains a half-written segment under its final name; a torn
-write (power loss, ``kill -9`` mid-rename) at worst leaves a stray
-temp file that the next open sweeps away.
+per simulated timing class plus a small ``meta.json``. A segment
+records one outcome together with the grid indices it served: the
+members of one batch group (see :mod:`repro.batch`), which share a
+simulation, share one segment, so a batched grid writes and fsyncs
+once per group instead of once per point. Segments are written with
+:func:`repro.util.io.atomic_write_bytes`, so the journal never
+contains a half-written segment under its final name; a torn write
+(power loss, ``kill -9`` mid-rename) at worst leaves a stray temp
+file that the next open sweeps away.
 
-Each segment is one :func:`repro.util.io.frame` record: a pickled
-payload (a stripped :class:`~repro.system.SimOutcome`) under a
-header holding the SHA-256 digest of the :class:`SimRequest` that
-produced it, both covered by the CRC32. On resume a point is only
-reused when its index *and* request digest match — so a journal from
-a different grid shape (``--quick`` vs full, different persona) can
-never leak stale outcomes into a run — and any segment that does not
-verify (including one written under an older framing) is treated as
-absent: only the damaged tail of an interrupted campaign is
-re-simulated, never the whole grid.
+Each segment is one :func:`repro.util.io.frame` record, named after
+its first member (``point-NNNNNN.seg``)::
+
+    RJRN3 | crc32, payload length | class key (32 B), member count |
+    members (>I each) | pickled outcome
+
+The class key is :meth:`repro.batch.BatchKey.to_bytes`, and the CRC32
+covers it, the member list and the outcome. On resume a point is only
+served when its index is a member of a verified segment whose key
+equals the point's own — the guarantee batching already rests on:
+equal keys give bit-identical outcomes — so a journal from a
+different grid shape (``--quick`` vs full, different persona) can
+never leak stale outcomes into a run. Any segment that does not
+verify (including one written under an older framing, ``RJRN1`` or
+``RJRN2``) is treated as absent: only the damaged classes of an
+interrupted campaign are re-simulated, never the whole grid.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pickle
 import re
+import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.util.io import (
     atomic_write_bytes,
@@ -39,51 +49,54 @@ from repro.util.io import (
 )
 
 #: Bump when the segment framing changes; unknown versions are damaged.
-_MAGIC = b"RJRN2\0"
-#: The segment header: sha256(request).
-_DIGEST_SIZE = 32
-_SEGMENT_RE = re.compile(r"^point-(\d{6})\.seg$")
+_MAGIC = b"RJRN3\0"
+#: The segment header: class key, member count.
+_HEADER = struct.Struct(">32sI")
+_SEGMENT_RE = re.compile(r"^point-\d{6}\.seg$")
 _META_NAME = "meta.json"
 
 JOURNAL_SCHEMA_VERSION = 1
-
-
-def request_digest(request: object) -> bytes:
-    """SHA-256 identity of one grid point's simulation request.
-
-    The digest is over the request's pickle. Requests are plain
-    dataclasses of scalars, lists, and insertion-ordered dicts (no
-    sets), so the bytes are stable across processes and runs of the
-    same code — which is what lets ``--resume`` match points written
-    by an earlier, interrupted process.
-    """
-    return hashlib.sha256(
-        pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
-    ).digest()
 
 
 def _segment_name(index: int) -> str:
     return f"point-{index:06d}.seg"
 
 
-def _read_segment(seg: Path) -> tuple[bytes, bytes] | None:
-    """``(request digest, pickled outcome)`` of a verified segment."""
+@dataclass(frozen=True)
+class _Record:
+    """Where one verified segment is and whom it serves."""
+
+    key: bytes
+    members: tuple[int, ...]
+    path: Path
+
+
+def _read_segment(seg: Path) -> tuple[bytes, tuple[int, ...], bytes] | None:
+    """``(class key, members, pickled outcome)`` of a verified segment."""
     try:
         blob = seg.read_bytes()
     except OSError:  # pragma: no cover - unreadable file
         return None
-    return unframe(blob, _MAGIC, _DIGEST_SIZE)
+    record = unframe(blob, _MAGIC, _HEADER.size)
+    if record is None:
+        return None
+    header, payload = record
+    key, n = _HEADER.unpack(header)
+    split = 4 * n  # >I per member
+    if n == 0 or len(payload) < split:
+        return None
+    members = struct.unpack(f">{n}I", payload[:split])
+    return key, members, payload[split:]
 
 
-def _scan_segments(path: Path) -> Iterator[tuple[Path, int, bytes | None]]:
-    """Every segment under ``path`` as ``(file, index, digest)``, in
-    index order; the digest is ``None`` for a damaged segment."""
+def _scan_segments(path: Path) -> Iterator[tuple[Path, _Record | None]]:
+    """Every segment under ``path`` in name order, with its record
+    (``None`` for a damaged segment)."""
     for seg in sorted(path.iterdir()):
-        m = _SEGMENT_RE.match(seg.name)
-        if m is not None:
-            record = _read_segment(seg)
-            digest = None if record is None else record[0]
-            yield seg, int(m.group(1)), digest
+        if _SEGMENT_RE.match(seg.name) is not None:
+            read = _read_segment(seg)
+            record = None if read is None else _Record(read[0], read[1], seg)
+            yield seg, record
 
 
 @dataclass
@@ -120,14 +133,16 @@ class JournalStatus:
 
 
 class CheckpointJournal:
-    """Append-only, CRC-checked record of completed grid points."""
+    """Append-only, CRC-checked record of completed timing classes."""
 
     def __init__(self, path: Path | str, resume: bool = False):
         self.path = Path(path)
         self.resume = resume
-        #: index -> (request digest, segment path) for verified segments.
-        self._index: dict[int, tuple[bytes, Path]] = {}
-        #: Segment names that failed verification on scan.
+        #: grid index -> the verified record that serves it.
+        self._index: dict[int, _Record] = {}
+        #: The record :meth:`get` read last, with its outcome.
+        self._loaded: tuple[_Record, object] | None = None
+        #: Segment names that failed verification on scan or read.
         self.damaged: list[str] = []
         self.path.mkdir(parents=True, exist_ok=True)
         sweep_temp_files(self.path)
@@ -145,44 +160,75 @@ class CheckpointJournal:
         self.damaged.clear()
 
     def _scan(self) -> None:
-        for seg, index, digest in _scan_segments(self.path):
-            if digest is None:
+        for seg, record in _scan_segments(self.path):
+            if record is None:
                 self.damaged.append(seg.name)
             else:
-                self._index[index] = (digest, seg)
+                self._track(record)
+
+    def _track(self, record: _Record) -> None:
+        """Index ``record``'s members, forgetting the record it replaced."""
+        old = self._index.get(record.members[0])
+        if old is not None and old.path == record.path:
+            self._forget(old)
+        for index in record.members:
+            self._index[index] = record
+
+    def _forget(self, record: _Record) -> None:
+        for index in record.members:
+            if self._index.get(index) is record:
+                del self._index[index]
 
     def complete(self) -> None:
         """The campaign finished: the journal has served its purpose."""
         for entry in list(self.path.iterdir()):
             entry.unlink(missing_ok=True)
         self._index.clear()
+        self._loaded = None
         try:
             self.path.rmdir()
         except OSError:  # pragma: no cover - concurrent writer
             pass
 
     # --------------------------------------------------------------- segments
-    def append(self, index: int, digest: bytes, outcome: object) -> Path:
-        """Journal one completed point (atomic temp-file + rename)."""
-        payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+    def append(
+        self, key: bytes, indices: Sequence[int], outcome: object
+    ) -> Path:
+        """Journal one outcome for the grid indices it serves (one
+        atomic temp-file + rename, named after the first index)."""
+        members = tuple(indices)
+        header = _HEADER.pack(key, len(members))
+        payload = struct.pack(f">{len(members)}I", *members)
+        payload += pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
         final = atomic_write_bytes(
-            self.path / _segment_name(index),
-            frame(_MAGIC, payload, header=digest),
+            self.path / _segment_name(members[0]),
+            frame(_MAGIC, payload, header),
         )
-        self._index[index] = (digest, final)
+        self._track(_Record(key, members, final))
         return final
 
-    def get(self, index: int, digest: bytes) -> object | None:
-        """The journaled outcome for ``(index, digest)``, if intact."""
-        entry = self._index.get(index)
-        if entry is None or entry[0] != digest:
+    def get(self, index: int, key: bytes) -> object | None:
+        """The journaled outcome for grid point ``index`` of class
+        ``key``, if intact.
+
+        Gets of one record's members in a row read, verify and
+        unpickle it once and return one shared object, so a caller
+        that needs an object per member copies it.
+        """
+        record = self._index.get(index)
+        if record is None or record.key != key:
             return None
-        record = _read_segment(entry[1])
-        if record is None or record[0] != digest:  # damaged since the scan
-            self._index.pop(index, None)
-            self.damaged.append(entry[1].name)
-            return None
-        return pickle.loads(record[1])
+        if self._loaded is None or self._loaded[0] is not record:
+            read = _read_segment(record.path)
+            if read is None or read[:2] != (record.key, record.members):
+                # Damaged, or replaced by another grid's record, since
+                # the scan.
+                self._forget(record)
+                if read is None:
+                    self.damaged.append(record.path.name)
+                return None
+            self._loaded = (record, pickle.loads(read[2]))
+        return self._loaded[1]
 
     def __contains__(self, index: int) -> bool:
         return index in self._index
@@ -223,13 +269,15 @@ def journal_status(path: Path | str) -> JournalStatus:
         except (OSError, json.JSONDecodeError):
             status.damaged.append(_META_NAME)
     newest = 0.0
-    for seg, _index, digest in _scan_segments(path):
+    points: set[int] = set()
+    for seg, record in _scan_segments(path):
         st = seg.stat()
         status.bytes += st.st_size
         newest = max(newest, st.st_mtime)
-        if digest is None:
+        if record is None:
             status.damaged.append(seg.name)
         else:
-            status.points += 1
+            points.update(record.members)
+    status.points = len(points)
     status.updated_at = newest or None
     return status

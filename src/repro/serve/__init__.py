@@ -4,7 +4,7 @@ The package splits along the daemon's three concerns:
 
 * :mod:`repro.serve.cas`    — the content-addressed result store and
   the :class:`~repro.serve.cas.CasJournal` adapter that lets the
-  existing grid executors read/write it per point;
+  grid executor read/write it per timing class;
 * :mod:`repro.serve.jobs`   — job manifests and live telemetry-event
   capture for ``GET /v1/jobs/<id>``;
 * :mod:`repro.serve.http`   — the minimal stdlib HTTP/1.1 layer;

@@ -1,15 +1,17 @@
 """Content-addressed result store: simulate once, serve forever.
 
-The store under ``results/cas/`` memoizes completed work keyed by the
-sha256 digest of the request that produced it — the same digest the
-checkpoint journal already proves stable across processes (see
-:func:`repro.resilience.request_digest`). Two namespaces:
+The store under ``results/cas/`` memoizes completed work under a
+sha256 key that is stable across processes. Two namespaces:
 
-* ``point`` — pickled :class:`~repro.system.SimOutcome` per grid
-  point, written/served through :class:`CasJournal` (which duck-types
-  :class:`~repro.resilience.CheckpointJournal`, so the existing grid
-  executors absorb and serve cache entries without learning anything
-  new);
+* ``point`` — one pickled :class:`~repro.system.SimOutcome` per
+  simulated timing class, keyed by its batch key
+  (:meth:`repro.batch.BatchKey.to_bytes`, the key the checkpoint
+  journal uses) and written/served through :class:`CasJournal` (which
+  duck-types :class:`~repro.resilience.CheckpointJournal`, so the grid
+  executor absorbs and serves cache entries without learning anything
+  new). Equal keys give bit-identical outcomes, so one entry serves
+  every grid point of its class, in any grid: a frequency-independent
+  class cached at one clock is a hit at every other clock;
 * ``run`` — complete ``ExperimentResult`` JSON documents for
   ``POST /v1/run``, returned byte-for-byte on a warm hit.
 
@@ -35,7 +37,7 @@ import pickle
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.surrogate.dispatch import tier_accepts
@@ -276,12 +278,12 @@ class CasJournal:
     """The CAS viewed as a checkpoint journal.
 
     Duck-types the :class:`~repro.resilience.CheckpointJournal`
-    surface the grid executors consume (``get`` / ``append`` /
+    surface the grid executor consumes (``get`` / ``append`` /
     ``write_meta`` / ``complete``), with two deliberate differences:
-    points are keyed *purely* by request digest (the grid index is
-    ignored — identical points hit from any grid, any shape), and
-    ``complete()`` is a no-op (the store is the service's memory, not
-    a crash artifact to be retired).
+    entries are keyed *purely* by timing class (grid indices are
+    ignored — a class hits from any grid, any shape, one entry per
+    class), and ``complete()`` is a no-op (the store is the service's
+    memory, not a crash artifact to be retired).
 
     Tier arbitration happens here, on the frame header, before any
     unpickle: a surrogate-tier entry that the requested tier cannot
@@ -296,9 +298,9 @@ class CasJournal:
     tolerance: float = 0.05
     tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
 
-    def get(self, index: int, digest: bytes) -> "SimOutcome | None":
+    def get(self, index: int, key: bytes) -> "SimOutcome | None":
         entry = self.cache.lookup(
-            "point", digest, tier=self.tier, tolerance=self.tolerance
+            "point", key, tier=self.tier, tolerance=self.tolerance
         )
         if entry is None:
             self.tracer.count("cas_misses")
@@ -311,13 +313,15 @@ class CasJournal:
         self.tracer.count("cas_hits")
         return outcome
 
-    def append(self, index: int, digest: bytes, outcome: object) -> None:
+    def append(
+        self, key: bytes, indices: Sequence[int], outcome: object
+    ) -> None:
         payload = pickle.dumps(
             outcome, protocol=pickle.HIGHEST_PROTOCOL
         )
         self.cache.put(
             "point",
-            digest,
+            key,
             payload,
             tier=getattr(outcome, "tier", "sim"),
             tier_err=getattr(outcome, "tier_err", 0.0),

@@ -20,8 +20,8 @@ service with a memory:
 Completed work is memoized in the content-addressed store under
 ``results/cas/`` (:mod:`repro.serve.cas`): whole response documents
 keyed by the request's canonical digest, and — for sweeps — every
-grid point individually via :class:`~repro.serve.cas.CasJournal`, so
-a new sweep that overlaps an old one only simulates the novel points.
+simulated timing class via :class:`~repro.serve.cas.CasJournal`, so
+a new sweep that overlaps an old one only simulates the novel classes.
 Identical in-flight requests coalesce onto one future: N concurrent
 identical POSTs trigger exactly one simulation and N byte-identical
 responses. The ``X-Repro-Cache`` response header says which path
@@ -34,7 +34,7 @@ deadline, and bounded retries — a crashed or hung simulation is
 retried and reported, never fatal to the daemon. Admitted jobs are
 **durable** (:mod:`repro.serve.journal`): journaled before execution,
 retired after, recovered on the next start if the daemon dies in
-between (sweeps resume from their per-point CAS entries, so completed
+between (sweeps resume from their per-class CAS entries, so completed
 work is never repeated). Admission is **bounded**: a saturated tier
 answers ``503 + Retry-After``, and ``SIGTERM`` enters drain mode —
 running jobs finish, new simulating requests get 503, and a drain
@@ -397,7 +397,7 @@ class SimulationService:
         Runs as a startup task on the event loop: each record goes
         through the same admission-free execution path a fresh request
         would, so recovered work coalesces with (and is visible to)
-        live traffic. Sweeps resume from their per-point CAS entries —
+        live traffic. Sweeps resume from their per-class CAS entries —
         the worker's ``CasJournal`` serves completed points back, and
         the run counts them as ``points_resumed``.
         """

@@ -9,9 +9,9 @@ loss, a drain that timed out — therefore leaves behind exactly the
 set of jobs whose results it still owed, and the next daemon replays
 them on startup through the normal execution path. Sweep points that
 completed before the crash are already in the CAS (the
-:class:`~repro.serve.cas.CasJournal` appends each point the moment it
-exists), so a recovered sweep re-simulates only the missing tail —
-the service-level twin of ``repro run --resume``.
+:class:`~repro.serve.cas.CasJournal` appends each timing class the
+moment it is simulated), so a recovered sweep re-simulates only the
+missing tail — the service-level twin of ``repro run --resume``.
 
 Records are :func:`repro.util.io.frame` records written with
 :func:`repro.util.io.atomic_write_bytes`, like checkpoint segments

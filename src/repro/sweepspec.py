@@ -14,9 +14,10 @@ This module is the lift:
   ``repro serve`` daemon accepts, the ``--spec FILE`` document
   ``repro sweep`` loads, and the object the CLI flags build;
 * :func:`build_requests` (in :mod:`repro.experiments.sweep`) turns the
-  spec's points into ordered :class:`~repro.system.SimRequest`\\ s with
-  stable sha256 digests — the identity the checkpoint journal and the
-  service's content-addressed result cache both key on.
+  spec's points into ordered :class:`~repro.system.SimRequest`\\ s whose
+  timing-class keys (:func:`repro.batch.batch_key`) are the identity
+  the checkpoint journal and the service's content-addressed result
+  cache both key on.
 
 Validation failures raise :class:`SpecError` with the offending field
 named and the fix spelled out, mirroring the
@@ -32,7 +33,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.sweep import SweepPoint
-    from repro.system import SimRequest
 
 SWEEPSPEC_SCHEMA_VERSION = 1
 
@@ -146,8 +146,8 @@ class SweepSpec:
 
     The point order is fixed — personas outermost, then VDD, then
     frequency (last axis fastest) — so two specs with equal fields
-    produce byte-identical request streams, stable digests, and
-    therefore checkpoint-journal and result-cache hits across
+    produce byte-identical request streams, stable timing-class keys,
+    and therefore checkpoint-journal and result-cache hits across
     processes, machines, and time.
     """
 
@@ -256,33 +256,6 @@ class SweepSpec:
                 vdd=self.vdd,
                 freq_mhz=self.freq_mhz,
             )
-        ]
-
-    def requests(self, seed: int = 0) -> "list[SimRequest]":
-        """Ordered SimRequests with stable digests — what the journal
-        and the service cache key on. Built by the exact construction
-        path :func:`repro.experiments.sweep.sweep` executes, so a spec
-        run anywhere produces the same request bytes."""
-        from repro.experiments.sweep import build_requests
-
-        named = _known_workloads()[self.workload]
-        workload, warmup, window = named.build(self.quick)
-        _, requests = build_requests(
-            self.points(),
-            lambda tile: workload[tile],
-            tiles=list(workload),
-            warmup_cycles=warmup,
-            window_cycles=window,
-            seed=seed,
-        )
-        return requests
-
-    def request_digests(self, seed: int = 0) -> list[str]:
-        from repro.resilience import request_digest
-
-        return [
-            request_digest(request).hex()
-            for request in self.requests(seed=seed)
         ]
 
     # -------------------------------------------------------- serialization

@@ -4,18 +4,21 @@
 the layers above :mod:`repro.batch`: a registry experiment's full
 result document is identical with batching on and off (and across
 worker pools), and a checkpoint journal written by one mode resumes
-cleanly under the other — the journal format never learns about
-batching.
+cleanly under the other. The journal keeps one record per simulated
+timing class, keyed by its batch key, so a batched grid writes one
+segment per group and an unbatched grid one per point.
 """
 
 from __future__ import annotations
 
+from repro.batch import plan_batches
+from repro.check.faults import inject_checkpoint_truncation
 from repro.check.golden import strip_document
 from repro.experiments import RunContext, fig11_epi
 from repro.experiments.parallel import parallel_simulate
 from repro.experiments.sweep import SweepPoint, sweep
 from repro.obs.trace import Tracer
-from repro.resilience import CheckpointJournal, Supervision
+from repro.resilience import CheckpointJournal, Supervision, journal_status
 from repro.silicon.variation import CHIP1, CHIP2, CHIP3
 from repro.system import PitonSystem
 from repro.workloads.microbench import int_tile
@@ -26,16 +29,26 @@ POINTS = [
     for v in (0.9, 1.05)
 ]
 
+#: Twelve points of one timing class: ``int`` never reaches memory,
+#: so persona, VDD and clock all fall out of its batch key.
+ONE_CLASS = [
+    SweepPoint(persona=p, vdd=v)
+    for p in (CHIP1, CHIP2, CHIP3)
+    for v in (0.85, 0.95, 1.05, 1.15)
+]
 
-def _requests():
+
+def _requests(points=POINTS, window_cycles=800):
     requests = []
-    for point in POINTS:
+    for point in points:
         system = PitonSystem.default(persona=point.persona, seed=0)
         freq = point.resolved_freq_hz()
         system.set_operating_point(point.vdd, point.vdd + 0.05, freq)
         requests.append(
             system.sim_request(
-                {0: int_tile()}, warmup_cycles=200, window_cycles=800
+                {0: int_tile()},
+                warmup_cycles=200,
+                window_cycles=window_cycles,
             )
         )
     return requests
@@ -80,10 +93,10 @@ def _assert_same_outcomes(got, want):
 def _interrupted_run(requests, journal_dir, batch):
     """Journal a full grid, then abandon delivery after two points.
 
-    Both execution paths journal every completed point the moment it
-    exists; only a fully *delivered* grid retires the journal. Closing
-    the iterator early models an interrupt unwinding through the
-    measurement replay and leaves the journal on disk for resume.
+    Both execution paths journal every simulated group the moment it
+    completes; only a fully *delivered* grid retires the journal.
+    Closing the iterator early models an interrupt unwinding through
+    the measurement replay and leaves the journal on disk for resume.
     """
     supervision = Supervision(
         journal=CheckpointJournal(journal_dir, resume=False),
@@ -142,3 +155,64 @@ def test_sweep_matches_across_batch_and_jobs():
     pooled = sweep(POINTS, factory, batch=True, jobs=2, **kwargs)
     assert batched.records == serial.records
     assert pooled.records == serial.records
+
+
+def _resume(requests, journal_dir, batch):
+    tracer = Tracer()
+    supervision = Supervision(
+        journal=CheckpointJournal(journal_dir, resume=True),
+        tracer=tracer,
+        experiment_id="batch-it",
+    )
+    outcomes = list(
+        parallel_simulate(requests, supervision=supervision, batch=batch)
+    )
+    return outcomes, tracer.resilience
+
+
+def test_one_class_grid_journals_one_segment(tmp_path):
+    requests = _requests(ONE_CLASS)
+    assert plan_batches(requests).n_groups == 1
+    _interrupted_run(requests, tmp_path / "j", batch=True)
+    segments = sorted(p.name for p in (tmp_path / "j").glob("point-*.seg"))
+    assert segments == ["point-000000.seg"]
+    status = journal_status(tmp_path / "j")
+    assert (status.points, status.points_expected) == (12, 12)
+    assert status.damaged == []
+
+
+def test_truncated_group_segment_resimulates_its_members(tmp_path):
+    # Two classes: five points at one window, then three at another.
+    requests = _requests(POINTS[:5], 800) + _requests(POINTS[:3], 600)
+    baseline = list(parallel_simulate(requests, batch=False))
+    _interrupted_run(requests, tmp_path / "j", batch=True)
+    segments = sorted(p.name for p in (tmp_path / "j").glob("point-*.seg"))
+    assert segments == ["point-000000.seg", "point-000005.seg"]
+
+    report = inject_checkpoint_truncation(tmp_path / "j")
+    assert "point-000005.seg" in report.detail
+    resumed, counters = _resume(requests, tmp_path / "j", batch=True)
+    _assert_same_outcomes(resumed, baseline)
+    assert counters["points_resumed"] == len(requests) - 3
+    assert counters["points_simulated"] == 1
+
+
+def test_resumed_members_are_distinct_copies(tmp_path):
+    requests = _requests(ONE_CLASS)
+    baseline = list(parallel_simulate(requests, batch=True))
+    _interrupted_run(requests, tmp_path / "j", batch=True)
+    resumed, counters = _resume(requests, tmp_path / "j", batch=True)
+    _assert_same_outcomes(resumed, baseline)
+    assert counters["points_resumed"] == len(requests)
+    for objects in (
+        resumed,
+        [o.ledger for o in resumed],
+        [o.result for o in resumed],
+    ):
+        assert len({id(obj) for obj in objects}) == len(requests)
+    # The first member reads back the representative's wall times; the
+    # others are copies whose simulation cost was amortized.
+    assert resumed[0].sim_wall_s > 0.0
+    assert all(
+        (o.build_wall_s, o.sim_wall_s) == (0.0, 0.0) for o in resumed[1:]
+    )

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.batch import batch_key
 from repro.check.faults import (
     WORKER_FAULT_ENV,
     inject_checkpoint_truncation,
@@ -32,7 +33,6 @@ from repro.resilience import (
     RetryPolicy,
     SupervisedPool,
     Supervision,
-    request_digest,
 )
 from repro.silicon.variation import CHIP3
 from repro.system import PitonSystem
@@ -57,6 +57,10 @@ def _grid_requests(count: int = 4):
         )
         for tiles in range(2, 2 + count)
     ]
+
+
+def _key(request) -> bytes:
+    return batch_key(request).to_bytes()
 
 
 def _ledgers(outcomes):
@@ -131,7 +135,7 @@ def test_resume_skips_journaled_points(tmp_path):
     journal = CheckpointJournal(tmp_path / "grid")
     for index in range(2):
         journal.append(
-            index, request_digest(requests[index]), serial_outcomes[index]
+            _key(requests[index]), (index,), serial_outcomes[index]
         )
 
     tracer = Tracer()
@@ -156,8 +160,8 @@ def test_stale_grid_journal_never_leaks(tmp_path):
     requests = _grid_requests()
     outcomes = list(parallel_simulate(_grid_requests(), jobs=1))
     journal = CheckpointJournal(tmp_path / "grid")
-    # Journal point 0 under the *wrong* digest (a different campaign).
-    journal.append(0, request_digest("another grid"), outcomes[-1])
+    # Journal point 0 under the *wrong* key (another point's class).
+    journal.append(_key(requests[-1]), (0,), outcomes[-1])
 
     tracer = Tracer()
     resumed = _ledgers(
@@ -185,7 +189,7 @@ def test_truncated_tail_resimulates_only_damaged_point(tmp_path):
     for index, outcome in enumerate(
         parallel_simulate(_grid_requests(), jobs=1)
     ):
-        journal.append(index, request_digest(requests[index]), outcome)
+        journal.append(_key(requests[index]), (index,), outcome)
 
     inject_checkpoint_truncation(tmp_path / "grid", drop_bytes=9)
 

@@ -10,6 +10,7 @@ outcomes).
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -95,24 +96,32 @@ class TestManifestSanity:
 
 
 class TestTracingOverhead:
-    def test_tracing_under_five_percent(self):
-        """Enabled telemetry must cost <5% on the fig11 quick path.
+    #: Interleaved plain/traced pairs; the check takes their median.
+    PAIRS = 9
 
-        Interleaved min-of-3 timings cancel machine drift; a small
-        absolute slack keeps sub-second timings from flaking on a
-        noisy CI box.
+    def test_tracing_under_five_percent(self):
+        """Enabled telemetry must cost <5% CPU on the fig11 quick path.
+
+        Both runs are in-process (``jobs=1``), so ``time.process_time``
+        counts all of their work and none of the time other processes
+        take, which spreads wall-clock timings of the same run by tens
+        of percent. Pairs alternate which run goes first, so drift
+        within a pair cancels, and the median of the per-pair ratios
+        ignores pairs a one-off stall hit.
         """
-        plain_times, traced_times = [], []
         _run_fig11()  # warm caches/imports outside the timed runs
-        for _ in range(3):
-            start = time.perf_counter()
-            _run_fig11()
-            plain_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            _run_fig11(tracer=Tracer())
-            traced_times.append(time.perf_counter() - start)
-        plain, traced = min(plain_times), min(traced_times)
-        assert traced <= plain * 1.05 + 0.05, (
-            f"tracing overhead too high: {plain:.3f}s plain vs "
-            f"{traced:.3f}s traced"
+        ratios = []
+        for pair in range(self.PAIRS):
+            cpu = {}
+            for traced in (pair % 2 == 1, pair % 2 == 0):
+                start = time.process_time()
+                _run_fig11(tracer=Tracer() if traced else None)
+                cpu[traced] = time.process_time() - start
+            ratios.append(cpu[True] / cpu[False])
+        overhead = statistics.median(ratios)
+        assert overhead <= 1.05, (
+            f"tracing overhead too high: traced/plain CPU time "
+            f"{overhead:.3f} (pairs: "
+            + ", ".join(f"{r:.3f}" for r in ratios)
+            + ")"
         )

@@ -1,13 +1,20 @@
-"""Coarse performance floor for the simulator's hot loop.
+"""Coarse performance floors for the simulator's hot loop.
 
 The issue loop is the repo's main cost center; the experiments in
 EXPERIMENTS.md are only practical because it sustains a healthy
-simulated-instructions-per-second rate. This smoke test runs a fixed
-409,608-instruction multicore workload and asserts a deliberately
-generous floor — two orders of magnitude below current throughput — so
-it only trips on a genuine hot-loop regression (e.g. reintroducing
-per-event ledger hashing or per-cycle opcode lookups), never on CI
-machine jitter.
+simulated-instructions-per-second rate. Two fixed workloads guard its
+two paths:
+
+* a 409,608-instruction Int workload, which issues almost entirely as
+  compiled blocks of register-only instructions;
+* a Hist workload, which issues one instruction per step: every
+  thread spins on a ``cas`` lock, loads its elements and stores its
+  bucket, and no block ever forms.
+
+Each floor is deliberately generous — about two orders of magnitude
+below current throughput — so it only trips on a genuine hot-loop
+regression (e.g. reintroducing per-event ledger hashing or per-cycle
+opcode lookups), never on CI machine jitter.
 """
 
 from __future__ import annotations
@@ -16,12 +23,30 @@ import time
 
 from repro.system import PitonSystem
 from repro.workloads.base import TileProgram
-from repro.workloads.microbench import PATTERN_A, PATTERN_B, int_program
+from repro.workloads.microbench import (
+    PATTERN_A,
+    PATTERN_B,
+    hist_workload,
+    int_program,
+    microbench_core_ids,
+)
 
 #: Simulated instructions per wall-clock second the hot loop must beat.
 #: This workload runs at about 4.8M/s on a 2-CPU x86-64 VM
 #: (Python 3.11): its Int loops issue almost entirely as blocks.
 MIN_INSTRUCTIONS_PER_SECOND = 50_000
+
+#: The same floor for the per-instruction path. 24 Hist threads on 12
+#: cores over 256 elements issue 52,572 instructions, one per step, at
+#: about 320k/s on a 2-CPU x86-64 VM (Python 3.11).
+MIN_STEPPED_INSTRUCTIONS_PER_SECOND = 3_000
+
+
+def _timed_run(tiles):
+    system = PitonSystem.default(seed=0)
+    start = time.perf_counter()
+    run = system.run_to_completion(tiles)
+    return run, time.perf_counter() - start
 
 
 def test_hot_loop_throughput_floor():
@@ -32,11 +57,7 @@ def test_hot_loop_throughput_floor():
         programs=[int_program(iterations), int_program(iterations)],
         init_regs={8: PATTERN_A, 9: PATTERN_B, 31: 1},
     )
-    system = PitonSystem.default(seed=0)
-
-    start = time.perf_counter()
-    run = system.run_to_completion({t: tile for t in range(4)})
-    elapsed = time.perf_counter() - start
+    run, elapsed = _timed_run({t: tile for t in range(4)})
 
     assert run.result.completed
     assert run.result.instructions >= 100_000
@@ -44,4 +65,22 @@ def test_hot_loop_throughput_floor():
     assert ips >= MIN_INSTRUCTIONS_PER_SECOND, (
         f"hot loop regressed: {ips:,.0f} simulated instr/s "
         f"(floor {MIN_INSTRUCTIONS_PER_SECOND:,})"
+    )
+
+
+def test_stepped_issue_throughput_floor():
+    work = hist_workload(
+        microbench_core_ids(12),
+        2,
+        total_elements=256,
+        repeat_forever=False,
+    )
+    run, elapsed = _timed_run(work.tiles)
+
+    assert run.result.completed
+    assert run.result.instructions >= 50_000
+    ips = run.result.instructions / elapsed
+    assert ips >= MIN_STEPPED_INSTRUCTIONS_PER_SECOND, (
+        f"per-instruction issue regressed: {ips:,.0f} simulated "
+        f"instr/s (floor {MIN_STEPPED_INSTRUCTIONS_PER_SECOND:,})"
     )

@@ -158,6 +158,31 @@ class TestTraceRecorder:
         trace = self.run_traced("\n".join(["add %r1, 1, %r1"] * 20))
         assert trace.issues_per_cycle() == pytest.approx(1.0, abs=0.1)
 
+    def test_memory_ops_carry_their_address(self):
+        engine = MulticoreEngine()
+        program = assemble(
+            "ldx [%r1 + 8], %r3\n"
+            "stx %r2, [%r1 + 16]\n"
+            "cas [%r4], %r5, %r6\n"
+            "nop"
+        )
+        core = engine.add_core(
+            0, [program], init_regs={1: 0x1000, 2: 7, 4: 0x2000}
+        )
+        with TraceRecorder(core) as trace:
+            engine.run(until_done=True, max_cycles=100_000)
+        assert [(e.op, e.mem_addr) for e in trace.entries] == [
+            ("ldx", 0x1008),
+            ("stx", 0x1010),
+            ("cas", 0x2000),
+            ("nop", None),
+        ]
+
+    def test_block_entries_carry_no_address(self):
+        trace = self.run_traced("\n".join(["add %r1, 1, %r1"] * 8))
+        assert len(trace.entries) == 8
+        assert all(e.mem_addr is None for e in trace.entries)
+
     def test_capacity_validation(self):
         engine = MulticoreEngine()
         core = engine.add_core(0, [assemble("nop")])

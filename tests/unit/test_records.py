@@ -9,6 +9,7 @@ layout rebuilt here by hand with ``struct`` and ``zlib``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 import struct
@@ -16,12 +17,15 @@ import zlib
 
 import pytest
 
-from repro.resilience.checkpoint import CheckpointJournal, request_digest
+from repro.resilience.checkpoint import CheckpointJournal
 from repro.serve.cas import ResultCache
 from repro.serve.journal import JobJournal
 
 OUTCOME = {"cycles": 1234, "tier": "sim"}
-DIGEST = request_digest(("records", 0))
+#: A 32-byte key, as ``BatchKey.to_bytes`` and the service use.
+DIGEST = hashlib.sha256(b"records").digest()
+#: The grid points one timing-class segment serves.
+MEMBERS = (0, 3, 5)
 SEGMENT = "point-000000.seg"
 
 
@@ -42,9 +46,15 @@ def _framed(magic: bytes, payload: bytes, header: bytes = b"") -> bytes:
 
 # ------------------------------------------------------------------ layout
 def test_segment_layout(tmp_path):
-    seg = CheckpointJournal(tmp_path).append(0, DIGEST, OUTCOME)
-    payload = pickle.dumps(OUTCOME, protocol=pickle.HIGHEST_PROTOCOL)
-    assert seg.read_bytes() == _framed(b"RJRN2\0", payload, DIGEST)
+    seg = CheckpointJournal(tmp_path).append(DIGEST, MEMBERS, OUTCOME)
+    # Header: the class key and the member count; payload: the members
+    # then the pickled outcome. The CRC covers all of it.
+    header = DIGEST + struct.pack(">I", len(MEMBERS))
+    payload = struct.pack(">3I", *MEMBERS) + pickle.dumps(
+        OUTCOME, protocol=pickle.HIGHEST_PROTOCOL
+    )
+    assert seg.name == SEGMENT  # named after its first member
+    assert seg.read_bytes() == _framed(b"RJRN3\0", payload, header)
 
 
 def test_job_record_layout_is_unchanged(tmp_path):
@@ -91,14 +101,18 @@ def test_hand_framed_job_record_recovers(tmp_path):
 
 def test_older_segment_reads_as_damaged(tmp_path):
     payload = pickle.dumps(OUTCOME, protocol=pickle.HIGHEST_PROTOCOL)
-    crc = zlib.crc32(payload)  # the older framing left the digest out
-    (tmp_path / SEGMENT).write_bytes(
+    # One record per point under its request digest: RJRN2 framed it
+    # as today's frame does, RJRN1 left the digest out of the CRC.
+    (tmp_path / SEGMENT).write_bytes(_framed(b"RJRN2\0", payload, DIGEST))
+    crc = zlib.crc32(payload)
+    (tmp_path / "point-000001.seg").write_bytes(
         b"RJRN1\0" + struct.pack(">IQ32s", crc, len(payload), DIGEST)
         + payload
     )
     journal = CheckpointJournal(tmp_path, resume=True)
-    assert journal.damaged == [SEGMENT]
+    assert journal.damaged == [SEGMENT, "point-000001.seg"]
     assert journal.get(0, DIGEST) is None
+    assert journal.get(1, DIGEST) is None
 
 
 def test_older_cache_entry_is_a_miss(tmp_path):
@@ -114,12 +128,14 @@ def test_older_cache_entry_is_a_miss(tmp_path):
 
 # ------------------------------------------------------------------ damage
 def test_every_damaged_segment_is_absent(tmp_path):
-    seg = CheckpointJournal(tmp_path).append(0, DIGEST, OUTCOME)
+    seg = CheckpointJournal(tmp_path).append(DIGEST, MEMBERS, OUTCOME)
     served = []
     for blob in _variants(seg.read_bytes()):
         seg.write_bytes(blob)
         journal = CheckpointJournal(tmp_path, resume=True)
-        if journal.damaged != [SEGMENT] or journal.get(0, DIGEST) is not None:
+        if journal.damaged != [SEGMENT] or any(
+            journal.get(i, DIGEST) is not None for i in range(6)
+        ):
             served.append(blob)
     assert served == []
 

@@ -4,11 +4,13 @@ plumbing, and the worker fault injectors."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
 
 import pytest
 
+from repro.batch import BatchKey
 from repro.check.faults import (
     WORKER_FAULT_ENV,
     active_worker_fault,
@@ -23,9 +25,9 @@ from repro.resilience import (
     GridInterrupted,
     RetryPolicy,
     backoff_schedule,
+    checkpoint,
     derive_deadline,
     journal_status,
-    request_digest,
     resumable_signals,
 )
 from repro.util.io import atomic_write_bytes, atomic_write_text
@@ -71,6 +73,11 @@ def test_retry_policy_explicit_deadline_wins():
 
 
 # ----------------------------------------------------------------- journal
+def _key(tag: object) -> bytes:
+    """A 32-byte class key, as :meth:`BatchKey.to_bytes` gives one."""
+    return hashlib.sha256(repr(tag).encode()).digest()
+
+
 @pytest.fixture
 def outcome_payload():
     return {"ledger": {"alu": 42}, "cycles": 1234}
@@ -78,26 +85,24 @@ def outcome_payload():
 
 def test_journal_roundtrip(tmp_path, outcome_payload):
     journal = CheckpointJournal(tmp_path / "j")
-    digest = request_digest(("req", 0))
-    journal.append(3, digest, outcome_payload)
+    key = _key(("req", 0))
+    journal.append(key, (3,), outcome_payload)
     assert 3 in journal and len(journal) == 1
-    assert journal.get(3, digest) == outcome_payload
+    assert journal.get(3, key) == outcome_payload
 
 
 def test_journal_digest_mismatch_is_a_miss(tmp_path, outcome_payload):
     journal = CheckpointJournal(tmp_path / "j")
-    journal.append(0, request_digest("grid A"), outcome_payload)
+    journal.append(_key("grid A"), (0,), outcome_payload)
     reopened = CheckpointJournal(tmp_path / "j", resume=True)
     # Same index from a different grid shape must never be served.
-    assert reopened.get(0, request_digest("grid B")) is None
-    assert reopened.get(0, request_digest("grid A")) == outcome_payload
+    assert reopened.get(0, _key("grid B")) is None
+    assert reopened.get(0, _key("grid A")) == outcome_payload
 
 
 def test_journal_fresh_open_resets(tmp_path, outcome_payload):
     path = tmp_path / "j"
-    CheckpointJournal(path).append(
-        0, request_digest("x"), outcome_payload
-    )
+    CheckpointJournal(path).append(_key("x"), (0,), outcome_payload)
     fresh = CheckpointJournal(path, resume=False)
     assert len(fresh) == 0
     assert not list(path.glob("point-*.seg"))
@@ -106,9 +111,9 @@ def test_journal_fresh_open_resets(tmp_path, outcome_payload):
 def test_journal_detects_truncated_segment(tmp_path, outcome_payload):
     path = tmp_path / "j"
     journal = CheckpointJournal(path)
-    digests = [request_digest(("req", i)) for i in range(3)]
-    for i, digest in enumerate(digests):
-        journal.append(i, digest, outcome_payload)
+    keys = [_key(("req", i)) for i in range(3)]
+    for i, key in enumerate(keys):
+        journal.append(key, (i,), outcome_payload)
 
     report = inject_checkpoint_truncation(path, drop_bytes=5)
     assert "point-000002.seg" in report.detail
@@ -116,20 +121,20 @@ def test_journal_detects_truncated_segment(tmp_path, outcome_payload):
     resumed = CheckpointJournal(path, resume=True)
     # Only the damaged tail is absent; intact points still serve.
     assert resumed.damaged == ["point-000002.seg"]
-    assert resumed.get(0, digests[0]) == outcome_payload
-    assert resumed.get(1, digests[1]) == outcome_payload
-    assert resumed.get(2, digests[2]) is None
+    assert resumed.get(0, keys[0]) == outcome_payload
+    assert resumed.get(1, keys[1]) == outcome_payload
+    assert resumed.get(2, keys[2]) is None
 
 
 def test_journal_detects_corruption_after_scan(tmp_path, outcome_payload):
     path = tmp_path / "j"
     journal = CheckpointJournal(path)
-    digest = request_digest("req")
-    seg = journal.append(0, digest, outcome_payload)
+    key = _key("req")
+    seg = journal.append(key, (0,), outcome_payload)
     blob = bytearray(seg.read_bytes())
     blob[-1] ^= 0xFF  # flip a payload bit under the CRC
     seg.write_bytes(bytes(blob))
-    assert journal.get(0, digest) is None  # CRC re-check on read
+    assert journal.get(0, key) is None  # CRC re-check on read
     assert journal.damaged == ["point-000000.seg"]
 
 
@@ -137,7 +142,7 @@ def test_journal_complete_removes_directory(tmp_path, outcome_payload):
     path = tmp_path / "j"
     journal = CheckpointJournal(path)
     journal.write_meta(experiment_id="fig13", points_expected=2)
-    journal.append(0, request_digest("a"), outcome_payload)
+    journal.append(_key("a"), (0,), outcome_payload)
     journal.complete()
     assert not path.exists()
 
@@ -155,7 +160,7 @@ def test_journal_status_reports_counts(tmp_path, outcome_payload):
     journal = CheckpointJournal(path)
     journal.write_meta(experiment_id="fig13", points_expected=5)
     for i in range(2):
-        journal.append(i, request_digest(i), outcome_payload)
+        journal.append(_key(i), (i,), outcome_payload)
     status = journal_status(path)
     assert status.exists
     assert status.experiment_id == "fig13"
@@ -166,15 +171,64 @@ def test_journal_status_reports_counts(tmp_path, outcome_payload):
     assert not missing.exists and missing.points == 0
 
 
-def test_request_digest_stable_and_discriminating():
-    req = {"tiles": [0, 1], "window": 4000}
-    assert request_digest(req) == request_digest(
-        {"tiles": [0, 1], "window": 4000}
+def test_journal_status_counts_group_members(tmp_path, outcome_payload):
+    path = tmp_path / "j"
+    journal = CheckpointJournal(path)
+    journal.write_meta(experiment_id="sweep-int", points_expected=12)
+    journal.append(_key("class A"), (0, 2, 4, 6), outcome_payload)
+    journal.append(_key("class B"), (1, 3), outcome_payload)
+    status = journal_status(path)
+    assert len(list(path.glob("point-*.seg"))) == 2
+    assert (status.points, status.points_expected) == (6, 12)
+    assert status.damaged == [] and status.complete is False
+
+
+def test_journal_serves_only_listed_members(tmp_path, outcome_payload):
+    path = tmp_path / "j"
+    key = _key("class")
+    CheckpointJournal(path).append(key, (0, 2, 5), outcome_payload)
+    resumed = CheckpointJournal(path, resume=True)
+    assert sorted(i for i in range(8) if i in resumed) == [0, 2, 5]
+    # An index outside the member list is not served, even under the
+    # record's own key.
+    assert [resumed.get(i, key) is not None for i in range(8)] == [
+        True, False, True, False, False, True, False, False
+    ]
+    assert resumed.get(2, _key("other class")) is None
+
+
+def test_journal_reads_a_group_record_once(
+    tmp_path, outcome_payload, monkeypatch
+):
+    path = tmp_path / "j"
+    key = _key("class")
+    CheckpointJournal(path).append(key, (0, 1, 2, 3), outcome_payload)
+    resumed = CheckpointJournal(path, resume=True)
+    reads = []
+    original = checkpoint._read_segment
+    monkeypatch.setattr(
+        checkpoint,
+        "_read_segment",
+        lambda seg: reads.append(seg.name) or original(seg),
     )
-    assert request_digest(req) != request_digest(
-        {"tiles": [0, 1], "window": 4001}
-    )
-    assert len(request_digest(req)) == 32
+    served = [resumed.get(i, key) for i in range(4)]
+    assert reads == ["point-000000.seg"]
+    assert all(outcome == outcome_payload for outcome in served)
+
+
+def test_batch_key_bytes_stable_and_discriminating():
+    digest = hashlib.sha256(b"request").digest()
+    key = BatchKey(digest=digest, freq_token=None)
+    assert key.to_bytes() == BatchKey(digest, None).to_bytes()
+    assert len(key.to_bytes()) == 32
+    distinct = {
+        key.to_bytes(),
+        BatchKey(digest, 5e8).to_bytes(),
+        BatchKey(digest, 6e8).to_bytes(),
+        BatchKey(digest, 0.0).to_bytes(),
+        BatchKey(hashlib.sha256(b"other").digest(), None).to_bytes(),
+    }
+    assert len(distinct) == 5
 
 
 # ----------------------------------------------------------- atomic writes

@@ -12,9 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.parallel import parallel_simulate
 from repro.obs import Tracer
+from repro.resilience import Supervision
 from repro.serve.cas import CacheEntry, CasJournal, ResultCache
+from repro.system import PitonSystem
 from repro.util import io
+from repro.workloads.microbench import int_tile
 
 
 @dataclass
@@ -214,8 +218,8 @@ class TestTierMatrix:
 class TestCasJournal:
     def test_append_then_get_round_trips_outcome(self, cache):
         journal = CasJournal(cache)
-        journal.append(0, DIGEST, FakeOutcome(value=7))
-        # Index is deliberately ignored: pure digest keying means
+        journal.append(DIGEST, (0,), FakeOutcome(value=7))
+        # Index is deliberately ignored: pure class keying means
         # identical points hit from any grid shape.
         outcome = journal.get(999, DIGEST)
         assert outcome == FakeOutcome(value=7)
@@ -224,14 +228,14 @@ class TestCasJournal:
         tracer = Tracer()
         journal = CasJournal(cache, tracer=tracer)
         assert journal.get(0, DIGEST) is None
-        journal.append(0, DIGEST, FakeOutcome())
+        journal.append(DIGEST, (0,), FakeOutcome())
         assert journal.get(0, DIGEST) is not None
         assert tracer.resilience == {"cas_misses": 1, "cas_hits": 1}
 
     def test_surrogate_outcome_stored_with_its_tier(self, cache):
         journal = CasJournal(cache)
         journal.append(
-            0, DIGEST, FakeOutcome(tier="fast", tier_err=0.02)
+            DIGEST, (0,), FakeOutcome(tier="fast", tier_err=0.02)
         )
         entry = cache.get("point", DIGEST)
         assert entry.tier == "fast"
@@ -248,6 +252,43 @@ class TestCasJournal:
         journal = CasJournal(cache, tracer=tracer)
         assert journal.get(0, DIGEST) is None
         assert tracer.resilience.get("cas_hits", 0) == 0
+
+    def test_one_entry_per_class_serves_every_member(self, cache):
+        journal = CasJournal(cache)
+        journal.append(DIGEST, (0, 4, 9), FakeOutcome(value=3))
+        assert cache.entry_count("point") == 1
+        assert [journal.get(i, DIGEST) for i in (0, 4, 9, 99)] == [
+            FakeOutcome(value=3)
+        ] * 4
+
+    def test_frequency_independent_class_hits_at_another_clock(
+        self, cache
+    ):
+        def request(freq_hz):
+            system = PitonSystem.default(seed=0)
+            system.set_operating_point(1.0, 1.05, freq_hz)
+            return system.sim_request(
+                {0: int_tile()}, warmup_cycles=100, window_cycles=400
+            )
+
+        def run(freq_hz):
+            tracer = Tracer()
+            supervision = Supervision(
+                journal=CasJournal(cache, tracer=tracer), tracer=tracer
+            )
+            outcome = next(
+                parallel_simulate([request(freq_hz)], supervision=supervision)
+            )
+            return outcome, tracer.resilience
+
+        cold, cold_counters = run(300e6)
+        warm, warm_counters = run(700e6)
+        assert cold_counters["points_simulated"] == 1
+        assert warm_counters["points_resumed"] == 1
+        assert warm_counters["cas_hits"] == 1
+        assert "points_simulated" not in warm_counters
+        assert warm.ledger.as_dict() == cold.ledger.as_dict()
+        assert warm.result == cold.result
 
     def test_meta_and_complete_are_noops(self, cache):
         journal = CasJournal(cache)
