@@ -4,6 +4,13 @@ Each tile owns one 64KB, 4-way slice. The slice is inclusive of the
 private caches above it for the lines it homes: evicting an L2 line
 recalls (invalidates) every private copy, which the paper's coherence
 protocol requires and our invariants tests rely on.
+
+A slice can *watch* words for the spin-lock parking of
+:mod:`repro.core.multicore`: every tag lookup or fill in a set that
+holds a watched word adds the set's watched words to ``disturbed``,
+because only those can change such a word's line state (its LRU
+position, residency and dirty bit, and, through the lookup that
+precedes them, its directory entry and private copies).
 """
 
 from __future__ import annotations
@@ -40,6 +47,12 @@ class L2Slice:
         self.directory: dict[int, DirectoryEntry] = {}
         self.ledger = ledger
         self._line_bytes = params.line_bytes
+        #: set index -> watched word addresses in that set (see
+        #: :meth:`touch`); empty while no core is parked.
+        self.watch: dict[int, set[int]] = {}
+        #: Where :meth:`touch` reports watched words; the memory system
+        #: shares one set among its slices.
+        self.disturbed: set[int] = set()
 
     def line_addr(self, addr: int) -> int:
         """Base byte address of the L2 line containing ``addr``."""
@@ -49,7 +62,15 @@ class L2Slice:
         """Tag + directory-cache lookup; returns residency."""
         self.ledger.record("l2.read" if not write else "l2.write")
         self.ledger.record("dir.lookup")
+        if self.watch:
+            self.touch(addr)
         return self.tags.access(addr, write=write).hit
+
+    def touch(self, addr: int) -> None:
+        """Report the watched words of ``addr``'s set as disturbed."""
+        words = self.watch.get(self.tags.set_index(addr))
+        if words:
+            self.disturbed.update(words)
 
     def entry(self, addr: int) -> DirectoryEntry:
         """Directory entry for a *resident* line (created on demand)."""
@@ -65,6 +86,8 @@ class L2Slice:
         """Install a line fetched from memory; returns any recall needed
         for the line evicted to make room."""
         self.ledger.record("l2.fill")
+        if self.watch:
+            self.touch(addr)
         result = self.tags.fill(addr, dirty=dirty)
         if result.evicted_line_addr is None:
             return None

@@ -63,6 +63,8 @@ class ExecOutcome:
     store_value: int = 0
     branch_taken: bool | None = None
     activity: float = 0.0
+    #: Whether a ``cas`` found its compare value and swapped.
+    swapped: bool = False
 
 
 def _sign64(value: int) -> int:
@@ -160,7 +162,8 @@ def _h_cas(instr, thread, memory, out):
     compare = regs[instr.rs2]
     swap = regs[instr.rd]
     old = memory.read(addr)
-    if old == compare:
+    swapped = out.swapped = old == compare
+    if swapped:
         memory.write(addr, swap)
     rd = instr.rd
     if rd:

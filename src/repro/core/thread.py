@@ -57,6 +57,10 @@ class ThreadContext:
     regs: list[int] = field(default_factory=lambda: [0] * NUM_INT_REGS)
     fregs: list[float] = field(default_factory=lambda: [0.0] * NUM_FP_REGS)
     stats: ThreadStats = field(default_factory=ThreadStats)
+    #: The thread's spin loop (:func:`~repro.core.spin.spin_loop`)
+    #: from its last ``cas`` that failed on a loop that repeats, else
+    #: ``None``.
+    spin: object = field(default=None, repr=False, compare=False)
     instructions: list = field(init=False, repr=False, compare=False)
     infos: list = field(init=False, repr=False, compare=False)
     handlers: tuple = field(init=False, repr=False, compare=False)

@@ -15,6 +15,12 @@ issues with their static latencies, so every entry carries its real
 cycle, thread and pc, whether it issued alone or inside a block. A
 block never holds a load, store or ``cas``, so a memory op always
 issues alone, and its entry carries the address the issue computed.
+
+A parked core (see :mod:`repro.core.multicore`) issues without steps.
+The recorder also wraps :meth:`Core.unpark`, which accounts a parked
+core's issues in bulk, and records each of them from the core's
+:class:`~repro.core.spin.Schedule`: its real cycle, thread, pc, op
+and, for a ``cas``, the word it reads.
 """
 
 from __future__ import annotations
@@ -82,16 +88,38 @@ class TraceRecorder:
                 _replay(core, before, rr, left, now, entries)
             return next_event
 
+        original_unpark = core.unpark
+
+        def traced_unpark(now: int) -> int:
+            schedule = core.parked
+            for cycle, sel, pos in schedule.issues(now):
+                loop = schedule.loops[sel]
+                thread = core.threads[sel]
+                pc = loop.pcs[pos]
+                entries.append(
+                    TraceEntry(
+                        cycle=cycle,
+                        tile=core.tile_id,
+                        thread=thread.thread_id,
+                        pc=pc,
+                        op=thread.program[pc].op,
+                        mem_addr=loop.addr if pos == 0 else None,
+                    )
+                )
+            return original_unpark(now)
+
         self._original_step = original
         core.step = traced_step  # type: ignore[method-assign]
+        core.unpark = traced_unpark  # type: ignore[method-assign]
         return self
 
     def detach(self) -> None:
         if self._original_step is None:
             return
-        # Remove the instance-level shim so lookup falls back to the
-        # class method (the true original).
+        # Remove the instance-level shims so lookup falls back to the
+        # class methods (the true originals).
         self.core.__dict__.pop("step", None)
+        self.core.__dict__.pop("unpark", None)
         self._original_step = None
 
     def __enter__(self) -> "TraceRecorder":

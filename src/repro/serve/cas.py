@@ -291,31 +291,46 @@ class CasJournal:
     outcome the executor then produces). ``cas_hits`` / ``cas_misses``
     land on the tracer's counters, which is how they reach job
     manifests and sweep documents.
+
+    Gets of one class key in a row read, verify and unpickle its entry
+    once (a miss is remembered the same way) and return one shared
+    object, as :meth:`CheckpointJournal.get` does; the counters still
+    count every point. Appending a key forgets what was remembered
+    for it.
     """
 
     cache: ResultCache
     tier: str = "sim"
     tolerance: float = 0.05
     tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
+    #: ``(key, outcome or None)`` of the last get.
+    _last: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def get(self, index: int, key: bytes) -> "SimOutcome | None":
+        if self._last is None or self._last[0] != key:
+            self._last = (key, self._load(key))
+        outcome = self._last[1]
+        self.tracer.count("cas_misses" if outcome is None else "cas_hits")
+        return outcome
+
+    def _load(self, key: bytes) -> "SimOutcome | None":
         entry = self.cache.lookup(
             "point", key, tier=self.tier, tolerance=self.tolerance
         )
         if entry is None:
-            self.tracer.count("cas_misses")
             return None
         try:
-            outcome = pickle.loads(entry.payload)
+            return pickle.loads(entry.payload)
         except Exception:
-            self.tracer.count("cas_misses")
             return None
-        self.tracer.count("cas_hits")
-        return outcome
 
     def append(
         self, key: bytes, indices: Sequence[int], outcome: object
     ) -> None:
+        if self._last is not None and self._last[0] == key:
+            self._last = None
         payload = pickle.dumps(
             outcome, protocol=pickle.HIGHEST_PROTOCOL
         )
