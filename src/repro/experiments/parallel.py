@@ -195,15 +195,15 @@ def batched_simulate(
     index is a member of a verified record under its own key, and
     only when ``fidelity``'s tier accepts the outcome (no silent
     surrogate reuse under ``--tier sim``; counted as
-    ``points_tier_rejected``). Members served from one record get
-    their own copies, as :func:`replicate_outcome` gives them. Each
-    simulated group is appended as one record the moment it completes
-    and each surrogate-served point as one record of its own, so an
-    interrupt loses only in-flight work. The journal is retired once
-    the consumer has received the final outcome; a consumer that
-    abandons the grid mid-way — an interrupt unwinding through the
-    measurement replay — leaves every completed record on disk for
-    ``--resume``.
+    ``points_tier_rejected``). Points the journal serves one shared
+    object get their own copies, as :func:`replicate_outcome` gives
+    them. Each simulated group is appended as one record the moment
+    it completes and each surrogate-served point as one record of its
+    own, so an interrupt loses only in-flight work. The journal is
+    retired once the consumer has received the final outcome; a
+    consumer that abandons the grid mid-way — an interrupt unwinding
+    through the measurement replay — leaves every completed record on
+    disk for ``--resume``.
     """
     from repro.surrogate.dispatch import accepts_cached_outcome
 
@@ -229,10 +229,13 @@ def batched_simulate(
     #: members of a group from the journal, and the surrogate may
     #: have served others).
     todo: list[tuple[bytes, list[int]]] = []
+    # The last outcome served: a journal may hand the same object to
+    # consecutive points, also across groups (a CasJournal does for
+    # one timing class without batching).
+    source = None
     for position, group in enumerate(members):
         key = keys[position].to_bytes() if journal is not None else b""
         missing: list[int] = []
-        source = None
         for index in group:
             if journal is not None:
                 cached = journal.get(index, key)
