@@ -81,6 +81,17 @@ class SetAssocCache:
         self.stats.misses += 1
         return _MISS
 
+    def touch(self, addr: int, write: bool = False) -> None:
+        """Make a resident line most recently used (and dirty if
+        ``write``), as a hit does, without counting an access."""
+        line = addr // self._line_bytes
+        entries = self._sets[line % self._num_sets]
+        for i, (tag, dirty) in enumerate(entries or ()):
+            if tag == line:
+                entries.pop(i)
+                entries.insert(0, (line, dirty or write))
+                return
+
     def fill(self, addr: int, dirty: bool = False) -> AccessResult:
         """Install the line containing ``addr``, evicting LRU if needed.
 

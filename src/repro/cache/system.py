@@ -13,18 +13,24 @@ plus a 3-flit response (Section IV-G); invalidations ride NoC2 and
 acks/data responses NoC3; L1.5 dirty-line writebacks carry the 16B line
 as two payload flits.
 
-Spin locks. A line is *quiet* (:meth:`CoherentMemorySystem.quiet`)
-when its home slice has no directory entry for it (and so, the
-directory being exact, no tile holds a private copy) and it is the
-most-recently-used, dirty line of its set there. A ``cas`` that fails
-on a quiet line changes nothing but the ledger and one tag hit of the
-home slice, which is what :meth:`~CoherentMemorySystem.quiet_atomics`
-adds in bulk for the spinning cores :mod:`repro.core.multicore` parks.
-Every ``cas`` leaves its line quiet: it pops the directory entry,
-invalidates every private copy, touches the line last in its set and
-marks it dirty. A line can stop being quiet only through a tag lookup
-or fill in its set at its home slice, which reports the set's watched
-words in :attr:`~CoherentMemorySystem.disturbed`.
+Parked loops. A core whose threads all run fixed-point loops parks
+(see :mod:`repro.core.spin` and :mod:`repro.core.multicore`) while
+each of its accesses repeats without a state change the engine would
+have to see: a load that hits the tile's L1D, a store-buffer drain
+into a line the tile's L1.5 holds MODIFIED (:meth:`hit_repeats`), and
+a ``cas`` that fails on a *quiet* line (:meth:`quiet`): its home slice
+has no directory entry for it (and so, the directory being exact, no
+tile holds a private copy) and it is the most-recently-used, dirty
+line of its set there. Each kind's ledger events live in one table
+that stepping records and :meth:`repeat_hits` and
+:meth:`quiet_atomics` scale, and :meth:`touch_private` replays a
+parked core's last L1D and L1.5 touches. Every ``cas`` leaves its line
+quiet: it pops the directory entry, invalidates every private copy,
+touches the line last in its set and marks it dirty. A private line
+can change only through its own tile's fills or through a lookup,
+fill or recall in its set at its home slice, and a quiet line only
+through a lookup or fill there, which reports the set's watched
+addresses in :attr:`~CoherentMemorySystem.disturbed`.
 """
 
 from __future__ import annotations
@@ -48,6 +54,12 @@ REQUEST_FLITS = 3
 RESPONSE_FLITS = 3
 INVALIDATE_FLITS = 2
 ACK_FLITS = 1
+
+#: Ledger events, as ``(event, count)``, of a load (recorded on every
+#: load, before its L1D lookup) and of a store-buffer drain (recorded
+#: on every drain, before its L1D write).
+LOAD_EVENTS = (("l1d.read", 1),)
+DRAIN_EVENTS = (("l1d.write", 1), ("l15.write", 1))
 
 #: ``(flit, flit_hop)`` ledger event names of each physical NoC.
 _NOC_EVENTS = {
@@ -153,7 +165,7 @@ class CoherentMemorySystem:
         """A 64-bit load from ``tile``; returns latency and level."""
         if self.cdr is not None:
             self.cdr.check(tile, addr)
-        self.ledger.record("l1d.read")
+        self._record(LOAD_EVENTS, 1)
         if self.l1d[tile].access(addr).hit:
             return MemoryAccessOutcome(self.latency.l1_hit, "l1")
 
@@ -175,12 +187,11 @@ class CoherentMemorySystem:
         """A 64-bit store from ``tile`` (write-through L1D into L1.5)."""
         if self.cdr is not None:
             self.cdr.check(tile, addr)
-        self.ledger.record("l1d.write")
+        self._record(DRAIN_EVENTS, 1)
         l1d_hit = self.l1d[tile].access(addr, write=True).hit
 
         line = self._l15_line(tile, addr)
         state = self._l15_state[tile].get(line)
-        self.ledger.record("l15.write")
         if state is MesiState.MODIFIED:
             self.l15[tile].access(addr, write=True)
             return MemoryAccessOutcome(self.latency.store_buffer, "l15")
@@ -278,7 +289,78 @@ class CoherentMemorySystem:
         slice_.tags.set_dirty(addr, True)  # the swap lands at the L2
         return outcome
 
-    # ------------------------------------------------------------- spin locks
+    # ----------------------------------------------------------- parked loops
+    def private_line(self, addr: int) -> int:
+        """Base address of the L1D/L1.5 line holding ``addr``."""
+        return self._l15_line(0, addr)
+
+    def l1d_holds(self, tile: int, addr: int) -> bool:
+        return self.l1d[tile].probe(addr)
+
+    def hit_repeats(self, tile: int, addr: int, drain: bool) -> bool:
+        """Whether a load (a ``drain`` of a store) of ``addr`` from
+        ``tile`` hits the L1D (lands in a line the L1.5 holds
+        MODIFIED), so repeating it changes no coherence state, and its
+        ledger events are recorded already."""
+        if drain:
+            line = self._l15_line(tile, addr)
+            hit = self._l15_state[tile].get(line) is MesiState.MODIFIED
+            events = DRAIN_EVENTS
+        else:
+            hit = self.l1d[tile].probe(addr)
+            events = LOAD_EVENTS
+        counts = self.ledger.counts
+        return hit and all(name in counts for name, _ in events)
+
+    def cas_repeats(self, tile: int, addr: int) -> bool:
+        """Whether a failing ``cas`` from ``tile`` on ``addr`` finds its
+        line quiet and its ledger events recorded already."""
+        _, _, request, response = self._cas_route(
+            tile, self.address_map.home_tile(addr)
+        )
+        counts = self.ledger.counts
+        return self.quiet(addr) and all(
+            name in counts for name, _, _ in request + response
+        )
+
+    def quiet_cas_latency(self, tile: int, addr: int) -> int:
+        """The latency of a ``cas`` from ``tile`` on ``addr``'s quiet
+        line: no fill and no holder to invalidate."""
+        hops, turns, _, _ = self._cas_route(
+            tile, self.address_map.home_tile(addr)
+        )
+        return self.latency.l2_hit(hops, turns)
+
+    def repeat_hits(self, tile: int, loads: int, drains: int,
+                    drain_hits: int) -> None:
+        """Account ``loads`` L1D load hits and ``drains`` drains into
+        MODIFIED L1.5 lines (``drain_hits`` of which hit the L1D) from
+        ``tile``: what :meth:`load` and :meth:`store` record for each,
+        and nothing else."""
+        if loads:
+            self._record(LOAD_EVENTS, loads)
+            self.l1d[tile].stats.hits += loads
+        if drains:
+            self._record(DRAIN_EVENTS, drains)
+            stats = self.l1d[tile].stats
+            stats.hits += drain_hits
+            stats.misses += drains - drain_hits
+            self.l15[tile].stats.hits += drains
+
+    def touch_private(self, tile: int, addr: int, drain: bool) -> None:
+        """Replay a load's (a drain's) LRU touch of ``addr`` in
+        ``tile``'s L1D (and L1.5), where the line is still resident."""
+        self.l1d[tile].touch(addr, drain)
+        if drain:
+            self.l15[tile].touch(addr, True)
+
+    def _record(self, events, n: int) -> None:
+        counts = self.ledger.counts
+        weights = self.ledger.weights
+        for name, count in events:
+            counts[name] += n * count
+            weights[name] += n * count * 0.5
+
     def quiet(self, addr: int) -> bool:
         """Whether ``addr``'s line is quiet: no directory entry at its
         home slice, and the most-recently-used, dirty line of its set

@@ -20,7 +20,7 @@ A parked core (see :mod:`repro.core.multicore`) issues without steps.
 The recorder also wraps :meth:`Core.unpark`, which accounts a parked
 core's issues in bulk, and records each of them from the core's
 :class:`~repro.core.spin.Schedule`: its real cycle, thread, pc, op
-and, for a ``cas``, the word it reads.
+and, for a load, store or ``cas``, its address.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class TraceRecorder:
                         thread=thread.thread_id,
                         pc=pc,
                         op=thread.program[pc].op,
-                        mem_addr=loop.addr if pos == 0 else None,
+                        mem_addr=loop.addrs[pos],
                     )
                 )
             return original_unpark(now)

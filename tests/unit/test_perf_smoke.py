@@ -2,16 +2,20 @@
 
 The issue loop is the repo's main cost center; the experiments in
 EXPERIMENTS.md are only practical because it sustains a healthy
-simulated-instructions-per-second rate. Three fixed workloads guard
-its three paths:
+simulated-instructions-per-second rate. Four fixed workloads guard
+its four paths:
 
 * a 409,608-instruction Int workload, which issues almost entirely as
   compiled blocks of register-only instructions;
-* Figure 11's ``ldx`` EPI loop on 4 cores, which issues one memory op
-  per step and never spins: the per-instruction ``Core.step`` path;
+* a counted loop of Figure 11's ``ldx`` EPI body on 4 cores, which
+  issues one memory op per step and, its counter changing every
+  iteration, never repeats exactly: the per-instruction ``Core.step``
+  path;
+* Figure 11's endless ``ldx`` EPI loop on 4 cores, whose iterations
+  repeat exactly once its lines are in the L1D: its cores park, and
+  their iterations are accounted in bulk;
 * a Hist workload, whose threads spin on a ``cas`` lock: its cores
-  park while every thread of them spins, and their spin iterations
-  are accounted in bulk.
+  park while every thread of them spins.
 
 Each floor is deliberately generous — about two orders of magnitude
 below current throughput — so it only trips on a genuine hot-loop
@@ -21,8 +25,10 @@ opcode lookups), never on CI machine jitter.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
+from repro.isa.program import Instruction, flat_program
 from repro.system import PitonSystem
 from repro.workloads.base import TileProgram
 from repro.workloads.epi_tests import build_epi_workload
@@ -36,19 +42,25 @@ from repro.workloads.microbench import (
 from repro.isa.operands import OperandPolicy
 
 #: Simulated instructions per wall-clock second the hot loop must beat.
-#: This workload runs at about 4.8M/s on a 2-CPU x86-64 VM
+#: This workload runs at about 3.1M/s on a 2-CPU x86-64 VM
 #: (Python 3.11): its Int loops issue almost entirely as blocks.
 MIN_INSTRUCTIONS_PER_SECOND = 50_000
 
 #: The same floor for the per-instruction path. Four cores of the
-#: ``ldx`` EPI loop over a 40,000-cycle window issue 50,097
-#: instructions, one per step, at about 170k/s on a 2-CPU x86-64 VM
+#: counted ``ldx`` loop over a 40,000-cycle window issue 51,659
+#: instructions, one per step, at about 140k/s on a 2-CPU x86-64 VM
 #: (Python 3.11).
-MIN_STEPPED_INSTRUCTIONS_PER_SECOND = 2_000
+MIN_STEPPED_INSTRUCTIONS_PER_SECOND = 1_500
+
+#: The floor for parked fixed-point loops. Four cores of the endless
+#: ``ldx`` EPI loop over the same window issue 50,097 instructions,
+#: almost all of them parked, at about 6.8M/s on a 2-CPU x86-64 VM
+#: (Python 3.11).
+MIN_PARKED_INSTRUCTIONS_PER_SECOND = 60_000
 
 #: The floor for parked spinning. 24 Hist threads on 12 cores over 256
 #: elements issue 52,572 instructions, most of them spin iterations
-#: accounted in bulk, at about 390k/s on a 2-CPU x86-64 VM (Python
+#: accounted in bulk, at about 315k/s on a 2-CPU x86-64 VM (Python
 #: 3.11).
 MIN_SPIN_INSTRUCTIONS_PER_SECOND = 3_000
 
@@ -79,22 +91,47 @@ def test_hot_loop_throughput_floor():
     )
 
 
-def test_stepped_issue_throughput_floor():
-    tiles = {
-        tile: build_epi_workload("ldx", OperandPolicy.RANDOM, tile)[1]
-        for tile in range(4)
-    }
+def _ldx_window(counted: bool):
+    """Four cores of the ``ldx`` EPI loop over a 40,000-cycle window;
+    ``counted`` runs its body in a loop whose counter changes every
+    iteration."""
+    tiles = {}
+    for tile in range(4):
+        program = build_epi_workload("ldx", OperandPolicy.RANDOM, tile)[1]
+        if counted:
+            loads = program.programs[0].instructions[:-1]
+            program = dataclasses.replace(program, programs=[flat_program(
+                [Instruction("set", rd=1, imm=1 << 20)] + loads
+                + [Instruction("sub", rd=1, rs1=1, imm=1),
+                   Instruction("bne", rs1=1, target=1)]
+            )])
+        tiles[tile] = program
     system = PitonSystem.default(seed=0)
     start = time.perf_counter()
     run = system.run_workload(tiles, warmup_cycles=100,
                               window_cycles=40_000)
-    elapsed = time.perf_counter() - start
+    return run, time.perf_counter() - start
+
+
+def test_stepped_issue_throughput_floor():
+    run, elapsed = _ldx_window(counted=True)
 
     assert run.result.instructions >= 40_000
     ips = run.result.instructions / elapsed
     assert ips >= MIN_STEPPED_INSTRUCTIONS_PER_SECOND, (
         f"per-instruction issue regressed: {ips:,.0f} simulated "
         f"instr/s (floor {MIN_STEPPED_INSTRUCTIONS_PER_SECOND:,})"
+    )
+
+
+def test_parked_loop_throughput_floor():
+    run, elapsed = _ldx_window(counted=False)
+
+    assert run.result.instructions >= 40_000
+    ips = run.result.instructions / elapsed
+    assert ips >= MIN_PARKED_INSTRUCTIONS_PER_SECOND, (
+        f"parked fixed-point loops regressed: {ips:,.0f} simulated "
+        f"instr/s (floor {MIN_PARKED_INSTRUCTIONS_PER_SECOND:,})"
     )
 
 
