@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -492,7 +492,7 @@ def inject_gov_cap_breach(
         )
     index = _rng(seed).choice(candidates)
     bad_w = trace.cap_w * 1.5
-    trace.samples[index] = replace(trace.samples[index], power_w=bad_w)
+    trace.samples[index] = trace.samples[index]._replace(power_w=bad_w)
     return FaultReport(
         "gov_cap_breach",
         f"sample {index} power rewritten to {bad_w:.3f} W over the "
@@ -513,7 +513,7 @@ def inject_gov_offtick_sample(
     index = _rng(seed).randrange(len(trace.samples))
     shift = 0.37 / trace.poll_hz
     sample = trace.samples[index]
-    trace.samples[index] = replace(sample, t_s=sample.t_s + shift)
+    trace.samples[index] = sample._replace(t_s=sample.t_s + shift)
     return FaultReport(
         "gov_offtick_sample",
         f"sample {index} shifted {shift:.4f} s off the tick grid",
@@ -541,11 +541,9 @@ def inject_gov_chatter(
         if len(trace.samples) < 2:
             raise RuntimeError("trace too short to chatter")
         index = _rng(seed).randrange(len(trace.samples) - 1)
-        trace.samples[index] = replace(
-            trace.samples[index], actuated=True
-        )
+        trace.samples[index] = trace.samples[index]._replace(actuated=True)
         index += 1
-    trace.samples[index] = replace(trace.samples[index], actuated=True)
+    trace.samples[index] = trace.samples[index]._replace(actuated=True)
     return FaultReport(
         "gov_chatter",
         f"sample {index} marked actuated one tick after the previous "

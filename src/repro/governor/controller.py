@@ -11,12 +11,17 @@ window, disturbance times) that
 
 Timestamps are computed as ``k / poll_hz`` from the tick index — never
 accumulated — so the actuation-on-tick-grid invariant holds exactly.
+
+A tick costs its arithmetic: each :class:`GovernorSample` is a
+NamedTuple, the policy sees one :class:`PolicyTick` updated in place,
+and the held rung's price is the power applied unless the policy
+actuates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from repro.board import MONITOR_POLL_HZ
 from repro.governor.ladder import LadderStep
@@ -39,8 +44,7 @@ EventFn = Callable[[float, ThermalNetwork], None]
 GOVERNED_TRACE_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class GovernorSample:
+class GovernorSample(NamedTuple):
     """One 17 Hz control tick, post-actuation."""
 
     t_s: float
@@ -242,11 +246,12 @@ class Governor:
     def run(self, duration_s: float) -> GovernedTrace:
         if duration_s <= 0:
             raise ValueError("duration must be positive")
-        n = len(self.ladder)
+        ladder = self.ladder
+        n = len(ladder)
         network = self.cooling.network()
         level = min(max(self.policy.start(n), 0), n - 1)
         if self.warm_start:
-            self._warm_start(network, self.ladder[level])
+            self._warm_start(network, ladder[level])
         trace = GovernedTrace(
             poll_hz=self.poll_hz,
             n_levels=n,
@@ -255,56 +260,54 @@ class Governor:
             settle_s=self.settle_s,
             disturbances_s=self.disturbances_s,
         )
-        dt = 1.0 / self.poll_hz
-        ticks = int(round(duration_s * self.poll_hz))
+        poll_hz = self.poll_hz
+        dt = 1.0 / poll_hz
+        ticks = int(round(duration_s * poll_hz))
+        power_fn = self.power_fn
+        event_fn = self.event_fn
+        telemetry = self.telemetry
+        read_w = None if telemetry is None else telemetry.read_power_w
+        decide = self.policy.decide
+        advance = network.step
+        append = trace.samples.append
+        tick = PolicyTick(0, 0.0, dt, 0.0, 0.0, level, ladder, 0.0, None)
+        # Prices a rung at the tick's die temperature and time.
+        tick.predict_w = lambda lv: power_fn(
+            ladder[lv], tick.die_temp_c, tick.t_s
+        )
+        step = ladder[level]
         energy_j = 0.0
         work_cycles = 0.0
         for k in range(ticks):
-            t = k / self.poll_hz
-            if self.event_fn is not None:
-                self.event_fn(t, network)
-            temp = network.die_temp_c
-            true_now = self.power_fn(self.ladder[level], temp, t)
-            if self.telemetry is not None:
-                measured = self.telemetry.read_power_w(
-                    true_now, self.ladder[level].vdd
-                )
-            else:
-                measured = true_now
-            tick = PolicyTick(
-                k=k,
-                t_s=t,
-                dt_s=dt,
-                die_temp_c=temp,
-                measured_w=measured,
-                level=level,
-                ladder=self.ladder,
-                work_done_cycles=work_cycles,
-                predict_w=lambda lv, _temp=temp, _t=t: self.power_fn(
-                    self.ladder[lv], _temp, _t
-                ),
-            )
-            new_level = min(max(self.policy.decide(tick), 0), n - 1)
+            t = k / poll_hz
+            if event_fn is not None:
+                event_fn(t, network)
+            temp = network.temps[0]
+            power = power_fn(step, temp, t)
+            measured = power if read_w is None else read_w(power, step.vdd)
+            tick.k = k
+            tick.t_s = t
+            tick.die_temp_c = temp
+            tick.measured_w = measured
+            tick.level = level
+            tick.work_done_cycles = work_cycles
+            new_level = decide(tick)
+            if new_level < 0:
+                new_level = 0
+            elif new_level >= n:
+                new_level = n - 1
             actuated = new_level != level
-            level = new_level
-            step = self.ladder[level]
-            # A held level was priced above at this temperature and time.
-            power = self.power_fn(step, temp, t) if actuated else true_now
-            network.step(power, dt)
+            if actuated:
+                level = new_level
+                step = ladder[level]
+                power = power_fn(step, temp, t)
+            die_c = advance(power, dt)
             energy_j += power * dt
             work_cycles += step.freq_hz * dt
-            trace.samples.append(
-                GovernorSample(
-                    t_s=t,
-                    level=level,
-                    vdd=step.vdd,
-                    freq_hz=step.freq_hz,
-                    power_w=power,
-                    measured_w=measured,
-                    die_temp_c=network.die_temp_c,
-                    actuated=actuated,
-                )
-            )
+            append(GovernorSample(
+                t, level, step.vdd, step.freq_hz, power, measured, die_c,
+                actuated,
+            ))
         trace.energy_j = energy_j
         trace.work_cycles = work_cycles
         if self.checker is not None:

@@ -9,11 +9,14 @@ exactly as in every paper experiment. Points that buy no frequency for
 more voltage (Chip #1's 1.2 V droop) are dominated and dropped, so the
 ladder is strictly ascending in frequency and a governor never holds a
 hotter rung than it needs for the clock it delivers.
+
+A :class:`LadderStep` is a NamedTuple: the plant keys its per-rung
+tables by step, and a tuple hashes and compares in C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.power.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.power.vf_curve import VfCurve
@@ -26,8 +29,7 @@ DEFAULT_VDD_GRID: tuple[float, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class LadderStep:
+class LadderStep(NamedTuple):
     """One validated operating point the governor may command."""
 
     level: int

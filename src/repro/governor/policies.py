@@ -1,9 +1,10 @@
 """Pluggable governor policies.
 
-Each policy sees one :class:`PolicyTick` per monitor sample and returns
-the ladder level to hold for the next tick. Policies advertise the
-invariants they guarantee through two attributes the controller copies
-onto the trace for :meth:`repro.check.CheckSuite.check_governor`:
+Each policy sees a :class:`PolicyTick` per monitor sample (one object
+per run, updated in place) and returns the ladder level to hold for
+the next tick. Policies advertise the invariants they guarantee
+through two attributes the controller copies onto the trace for
+:meth:`repro.check.CheckSuite.check_governor`:
 
 * ``cap_w`` — a power budget the policy enforces (``None`` if it does
   not cap);
@@ -26,9 +27,14 @@ from typing import Callable
 from repro.governor.ladder import LadderStep
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PolicyTick:
-    """Everything a policy may look at on one 17 Hz sample."""
+    """Everything a policy may look at on one 17 Hz sample.
+
+    :meth:`Governor.run <repro.governor.controller.Governor.run>` keeps
+    one tick per run and updates its fields in place each sample, so a
+    tick is valid only during :meth:`GovernorPolicy.decide`.
+    """
 
     k: int
     t_s: float

@@ -20,6 +20,7 @@ re-settle transients are legitimate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.governor.controller import Governor, GovernedTrace, PowerFn
@@ -134,16 +135,6 @@ class ScenarioSpec:
             raise ValueError("fan_r_factor must be positive")
 
     # ------------------------------------------------------------ derived
-    def activity_w(self, t_s: float) -> float:
-        """Workload activity at nominal conditions, at time ``t_s``."""
-        current = self.phases[0][1]
-        for start, watts in self.phases:
-            if t_s >= start:
-                current = watts
-            else:
-                break
-        return current
-
     def disturbance_times(self) -> tuple[float, ...]:
         times = [start for start, _ in self.phases[1:]]
         if self.fan_fail_s is not None:
@@ -167,10 +158,13 @@ def build_power_fn(spec: ScenarioSpec) -> PowerFn:
     """Chip idle power at the rung plus rescaled workload activity.
 
     Each rung's idle curve and activity scale factors are folded on its
-    first use; a tick then prices one curve point and the activity.
+    first use; a tick then prices one curve point and the activity of
+    the phase it falls in, found by bisecting the later phases' starts.
     """
     model = ChipPowerModel(PERSONAS[spec.persona], DEFAULT_CALIBRATION)
     vdd_nom = DEFAULT_CALIBRATION.vdd_nom
+    later_starts = [start for start, _ in spec.phases[1:]]
+    phase_w = [watts for _, watts in spec.phases]
     # step -> (curve's idle watts at a die temperature, f ratio,
     # VDD ratio squared)
     rungs: dict[LadderStep, tuple] = {}
@@ -189,7 +183,7 @@ def build_power_fn(spec: ScenarioSpec) -> PowerFn:
             )
         idle_w, f_ratio, v_ratio2 = rung
         return idle_w(min(die_temp_c, T_MODEL_MAX_C)) + (
-            spec.activity_w(t_s) * f_ratio
+            phase_w[bisect_right(later_starts, t_s)] * f_ratio
         ) * v_ratio2
 
     return power_w

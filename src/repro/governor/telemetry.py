@@ -23,18 +23,38 @@ class PowerTelemetry:
     comes from ``np.random.default_rng(seed)``, so a scenario measured
     in a worker pool reads bit-identical samples to one measured
     serially.
+
+    A reading's three noise draws (rail monitor, shunt high and low
+    sides) come :attr:`BLOCK` readings at a time from one generator
+    call, the same stream as the monitors' scalar draws; each reading
+    then applies the monitors' rounding.
     """
 
+    #: Readings whose noise one generator call draws.
+    BLOCK = 256
+
     def __init__(self, seed: int, shunt: SenseResistor | None = None):
-        rng = np.random.default_rng(seed)
-        self._vmon = VoltageMonitor(rng)
-        self._imon = CurrentSenseChannel(shunt or SenseResistor(), rng)
+        self._rng = np.random.default_rng(seed)
+        vmon = VoltageMonitor(self._rng)
+        imon = CurrentSenseChannel(shunt or SenseResistor(), self._rng)
+        self._sigmas = [m.noise_sigma_v for m in (vmon, imon.high, imon.low)]
+        self._lsb_v, self._lsb_i = vmon.lsb_v, imon.high.lsb_v
+        self._ohms = imon.resistor.ohms
+        self._noise = iter(())
 
     def read_power_w(self, true_power_w: float, rail_v: float) -> float:
         """Measure a true draw through the instruments, in watts."""
         if rail_v <= 0:
             raise ValueError("rail voltage must be positive")
-        true_current = true_power_w / rail_v
-        v_meas = self._vmon.read(rail_v)
-        i_meas = self._imon.read_current_a(true_current, rail_v)
-        return v_meas * i_meas
+        noise = next(self._noise, None)
+        if noise is None:
+            block = self._rng.normal(0.0, self._sigmas, (self.BLOCK, 3))
+            self._noise = iter(block.tolist())
+            noise = next(self._noise)
+        n_v, n_high, n_low = noise
+        lsb_v, lsb_i, ohms = self._lsb_v, self._lsb_i, self._ohms
+        high = rail_v + true_power_w / rail_v * ohms
+        v_meas = round((rail_v + n_v) / lsb_v) * lsb_v
+        high = round((high + n_high) / lsb_i) * lsb_i
+        low = round((rail_v + n_low) / lsb_i) * lsb_i
+        return v_meas * ((high - low) / ohms)

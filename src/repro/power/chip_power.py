@@ -26,8 +26,8 @@ both give bit-identical watts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import exp
 
 from repro.power.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.power.technology import clock_power_w
@@ -131,8 +131,8 @@ class IdleCurve:
         # Clamp: beyond this the operating point is deep in thermal
         # runaway and callers only need "very large", not infinity.
         return (
-            self.vdd_leak_w * math.exp(min(self.vdd_v_term + t_term, 40.0)),
-            self.vcs_leak_w * math.exp(min(self.vcs_v_term + t_term, 40.0)),
+            self.vdd_leak_w * exp(min(self.vdd_v_term + t_term, 40.0)),
+            self.vcs_leak_w * exp(min(self.vcs_v_term + t_term, 40.0)),
         )
 
     def static_rails(self, temp_c: float) -> RailPower:
@@ -148,8 +148,11 @@ class IdleCurve:
         )
 
     def total_w(self, temp_c: float) -> float:
-        """``rails(temp_c).total_w`` without building the rails."""
-        vdd_w, vcs_w = self._leakage(temp_c)
+        """``rails(temp_c).total_w`` without building the rails: the
+        operations of :meth:`_leakage` inlined, in the same order."""
+        t_term = self.leak_per_degc * (temp_c - self.t_ref_c)
+        vdd_w = self.vdd_leak_w * exp(min(self.vdd_v_term + t_term, 40.0))
+        vcs_w = self.vcs_leak_w * exp(min(self.vcs_v_term + t_term, 40.0))
         return (
             (vdd_w + self.clk_vdd_w) + (vcs_w + self.clk_vcs_w)
         ) + self.vio_idle_w

@@ -89,9 +89,10 @@ class ThermalNetwork:
                 g += 1.0 / self.stages[i - 1].r_c_per_w
             taus.append(stage.c_j_per_c / g)
         self._min_tau = min(taus)
-        # (dt_s, substeps, substep length) of the last step; None
-        # until a step runs on these stages.
-        self._substep_cache: tuple[float, int, float] | None = None
+        self._last = len(self.stages) - 1
+        # The last step's dt_s, substep count and substep length; no
+        # step has run on these stages while the dt is 0.
+        self._sub_dt, self._substeps, self._sub_h = 0.0, 0, 0.0
 
     def steady_state(self, power_w: float) -> list[float]:
         """Node temperatures once everything settles at ``power_w``."""
@@ -121,18 +122,19 @@ class ThermalNetwork:
         """
         if dt_s <= 0:
             raise ValueError("dt must be positive")
-        self.power_peak_w = max(self.power_peak_w, power_w)
-        cached = self._substep_cache
-        if cached is None or cached[0] != dt_s:
-            substeps = max(1, int(dt_s / (0.1 * self._min_tau)) + 1)
-            cached = self._substep_cache = (dt_s, substeps, dt_s / substeps)
-        _, substeps, h = cached
+        if power_w > self.power_peak_w:
+            self.power_peak_w = power_w
+        if dt_s != self._sub_dt:
+            self._substeps = max(1, int(dt_s / (0.1 * self._min_tau)) + 1)
+            self._sub_h = dt_s / self._substeps
+            self._sub_dt = dt_s
+        h = self._sub_h
         r = self._r
         c = self._c
-        last = len(r) - 1
+        last = self._last
         ambient = self.ambient_c
         temps = self.temps
-        for _ in range(substeps):
+        for _ in range(self._substeps):
             # Every flow comes from the temperatures before the substep:
             # ``temps`` is read while ``new_temps`` is built.
             new_temps = []
@@ -146,4 +148,4 @@ class ThermalNetwork:
         self.temps = temps
         if self.checker is not None:
             self.checker.check_thermal(self)
-        return self.die_temp_c
+        return temps[0]

@@ -17,6 +17,10 @@ its four paths:
 * a Hist workload, whose threads spin on a ``cas`` lock: its cores
   park while every thread of them spins.
 
+A fifth floor guards the governor's 17 Hz loop: a ``pi_cap`` scenario
+read through seeded telemetry, which prices the plant about six times
+a tick.
+
 Each floor is deliberately generous — about two orders of magnitude
 below current throughput — so it only trips on a genuine hot-loop
 regression (e.g. reintroducing per-event ledger hashing or per-cycle
@@ -28,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import time
 
+from repro.governor import ScenarioSpec, run_scenario
 from repro.isa.program import Instruction, flat_program
 from repro.system import PitonSystem
 from repro.workloads.base import TileProgram
@@ -63,6 +68,12 @@ MIN_PARKED_INSTRUCTIONS_PER_SECOND = 60_000
 #: accounted in bulk, at about 315k/s on a 2-CPU x86-64 VM (Python
 #: 3.11).
 MIN_SPIN_INSTRUCTIONS_PER_SECOND = 3_000
+
+#: The floor for the governed loop, in 17 Hz ticks per wall-clock
+#: second. The PI cap scenario below runs 2,040 ticks, each pricing the
+#: plant about 6 times and reading the board's monitors once, at about
+#: 57k ticks/s on a 2-CPU x86-64 VM (Python 3.11).
+MIN_GOVERNED_TICKS_PER_SECOND = 500
 
 
 def _timed_run(tiles):
@@ -150,4 +161,26 @@ def test_parked_spin_throughput_floor():
     assert ips >= MIN_SPIN_INSTRUCTIONS_PER_SECOND, (
         f"parked spinning regressed: {ips:,.0f} simulated instr/s "
         f"(floor {MIN_SPIN_INSTRUCTIONS_PER_SECOND:,})"
+    )
+
+
+def test_governed_tick_throughput_floor():
+    spec = ScenarioSpec(
+        name="floor",
+        policy="pi_cap",
+        persona="chip2",
+        duration_s=120.0,
+        phases=((0.0, 0.9), (60.0, 2.2)),
+        cap_w=3.5,
+        sensor_seed=2018,
+    )
+    start = time.perf_counter()
+    trace = run_scenario(spec)
+    elapsed = time.perf_counter() - start
+
+    assert len(trace.samples) == 2_040
+    rate = len(trace.samples) / elapsed
+    assert rate >= MIN_GOVERNED_TICKS_PER_SECOND, (
+        f"governed loop regressed: {rate:,.0f} ticks/s "
+        f"(floor {MIN_GOVERNED_TICKS_PER_SECOND:,})"
     )
