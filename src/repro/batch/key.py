@@ -24,6 +24,10 @@ and N frequency points collapse into one simulation.
 Frequency-*dependent* requests stay correct automatically: their keys
 include ``freq_hz``, so distinct frequencies land in distinct groups
 (a "de-batch" — see :mod:`repro.batch.plan`), never in a shared one.
+
+:func:`batch_keys` hashes each request *template* once: the same
+program objects at the same tiles, the same config object and equal
+other fields. Identity, not equality: equal objects can pickle apart.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import hashlib
 import pickle
 import struct
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.isa.instructions import Unit
 
@@ -109,16 +113,30 @@ def _clockless_digest(request: "SimRequest") -> bytes:
     ).digest()
 
 
+def batch_keys(requests: Sequence["SimRequest"]) -> list[BatchKey]:
+    """:func:`batch_key` of each request, one digest per template (the
+    scalars by type too: ``True == 1``, yet they pickle apart)."""
+    templates: dict[tuple, tuple[bytes, bool]] = {}
+    keys = []
+    for req in requests:
+        scalars = (*req.workload, req.interleave, req.warmup_cycles,
+                   req.window_cycles, req.max_cycles,
+                   req.execution_drafting, req.checks)
+        template = (tuple(map(id, req.workload.values())), id(req.config),
+                    scalars, tuple(map(type, scalars)))
+        if template not in templates:
+            templates[template] = (
+                _clockless_digest(req),
+                workload_can_touch_memory(req.workload),
+            )
+        digest, clocked = templates[template]
+        keys.append(BatchKey(digest, req.freq_hz if clocked else None))
+    return keys
+
+
 def batch_key(request: "SimRequest") -> BatchKey:
     """The timing class of ``request`` (see the module docstring)."""
-    freq_token = (
-        request.freq_hz
-        if workload_can_touch_memory(request.workload)
-        else None
-    )
-    return BatchKey(
-        digest=_clockless_digest(request), freq_token=freq_token
-    )
+    return batch_keys([request])[0]
 
 
 def affinity_key(request: "SimRequest") -> bytes:

@@ -1,7 +1,7 @@
 """Grouping a simulation grid into batchable equivalence classes.
 
 :func:`plan_batches` partitions a request list by
-:func:`~repro.batch.key.batch_key`. Each resulting
+:func:`~repro.batch.key.batch_keys`. Each resulting
 :class:`BatchGroup` is simulated once and its outcome fanned out to
 every member; singleton groups simply run as before. Planning is pure
 bookkeeping — it never reorders the grid (outcomes are always emitted
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.batch.key import BatchKey, batch_key
+from repro.batch.key import BatchKey, batch_keys
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ class BatchPlan:
 def plan_batches(requests: Sequence[object]) -> BatchPlan:
     """Partition ``requests`` into batch groups, first-seen order."""
     by_key: dict[BatchKey, list[int]] = {}
-    for index, request in enumerate(requests):
-        by_key.setdefault(batch_key(request), []).append(index)
+    for index, key in enumerate(batch_keys(requests)):
+        by_key.setdefault(key, []).append(index)
     return BatchPlan(
         groups=[
             BatchGroup(key=key, indices=tuple(indices))

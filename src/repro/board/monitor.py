@@ -17,7 +17,7 @@ import numpy as np
 from repro.board import MONITOR_POLL_HZ
 from repro.board.sense import CurrentSenseChannel, SenseResistor, VoltageMonitor
 from repro.power.chip_power import RailPower
-from repro.util.stats import Measurement, mean_std
+from repro.util.stats import Measurement
 
 #: true_power(t_seconds) -> RailPower: what the chip is really drawing.
 PowerSource = Callable[[float], RailPower]
@@ -119,19 +119,21 @@ class MeasurementProtocol:
         One draw supplies every reading's noise, in the order the bench
         polls: sample, then rail, then voltage, high and low monitor.
         Element for element this is :meth:`VoltageMonitor.read` and
-        :meth:`CurrentSenseChannel.read_current_a` in that order.
+        :meth:`CurrentSenseChannel.read_current_a` in that order. Rails
+        reduce as rows of a contiguous ``(rails, samples)`` copy, summed
+        pairwise like ``mean_std``; axis 0 of ``(samples, rails)`` would
+        sum row by row and move the last bits.
         """
-        noise = self._rng.normal(
-            0.0, self._sigma, size=(self.samples, *self._sigma.shape)
-        )
+        noise = self._rng.standard_normal((self.samples, *self._sigma.shape))
+        noise *= self._sigma
         volts = np.array([voltages[rail] for rail in self._rails])
-        true_v = np.empty_like(noise)
+        true_v = np.empty((*true_w.shape, 3))
         true_v[...] = volts[:, None]
-        true_v[:, :, 1] = volts + true_w / volts * self._ohms
+        true_v[..., 1] = volts + true_w / volts * self._ohms
         # Each monitor's ADC rounds to the nearest LSB, ties to even.
         read = np.rint((true_v + noise) / self._lsb) * self._lsb
         volts_meas, high, low = read[:, :, 0], read[:, :, 1], read[:, :, 2]
-        power = volts_meas * ((high - low) / self._ohms)
-        return RailMeasurement(
-            *(Measurement(*mean_std(power[:, r])) for r in range(3))
-        )
+        power = (volts_meas * ((high - low) / self._ohms)).T.copy()
+        return RailMeasurement(*map(
+            Measurement, power.mean(axis=1).tolist(), power.std(axis=1).tolist()
+        ))

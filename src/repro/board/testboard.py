@@ -11,6 +11,7 @@ thermally, and take the standard 128-sample measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import exp
 
 from repro.arch.params import DEFAULT_MEASUREMENT, MeasurementDefaults
 from repro.board.monitor import MeasurementProtocol, RailMeasurement
@@ -26,6 +27,10 @@ from repro.silicon.variation import CHIP2, ChipPersona
 from repro.thermal.cooling import STOCK_HEATSINK_FAN, CoolingSetup
 from repro.util.events import EventLedger
 from repro.util.rng import RngFactory
+
+
+class ThermalRunaway(RuntimeError):
+    """The die never settles thermally: no steady state to measure."""
 
 
 @dataclass
@@ -135,15 +140,28 @@ class ExperimentalSystem:
         )
 
     def _settle(self, curve: IdleCurve, activity: RailPower | None) -> float:
-        ambient = self.cooling.ambient_c
+        """Damped steps of ``_true_power(...).total_w`` on floats, summed
+        in its order (idle adds 0.0 per rail). Raises ThermalRunaway
+        unless they converge below the leakage clamp."""
+        c, act = curve, activity or RailPower(0.0, 0.0, 0.0)
+        vio_w = c.vio_idle_w + act.vio_w
+        ambient, r_ja = self.cooling.ambient_c, self.cooling.r_ja
         temp = ambient
         for _ in range(100):
-            power = self._true_power(curve, temp, activity).total_w
-            new_temp = ambient + self.cooling.r_ja * power
-            if abs(new_temp - temp) < 0.01:
+            t_term = c.leak_per_degc * (temp - c.t_ref_c)
+            vdd_x, vcs_x = c.vdd_v_term + t_term, c.vcs_v_term + t_term
+            vdd_w = c.vdd_leak_w * exp(min(vdd_x, 40.0)) + c.clk_vdd_w
+            vcs_w = c.vcs_leak_w * exp(min(vcs_x, 40.0)) + c.clk_vcs_w
+            power = ((vdd_w + act.vdd_w) + (vcs_w + act.vcs_w)) + vio_w
+            new_temp = ambient + r_ja * power
+            if abs(new_temp - temp) < 0.01 and max(vdd_x, vcs_x) < 40.0:
                 return new_temp
             temp += 0.5 * (new_temp - temp)
-        return temp
+        op = self.operating_point(temp)
+        raise ThermalRunaway(
+            f"thermal runaway: {self.persona.name} at VDD {op.vdd:g} V, "
+            f"VCS {op.vcs:g} V, {op.freq_hz / 1e6:g} MHz never settles"
+        )
 
     @staticmethod
     def _true_power(

@@ -426,6 +426,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     simulation per frequency. ``--tier auto`` serves every
     in-tolerance point from the calibrated profile instead.
     """
+    from repro.board.testboard import ThermalRunaway
     from repro.sweepspec import (
         SpecError,
         SweepSpec,
@@ -479,6 +480,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             result = run_sweepspec(spec, ctx)
     except GridInterrupted:
         return _interrupted(args)
+    except ThermalRunaway as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     wall = time.perf_counter() - start
     counters = dict(ctx.trace.resilience)
     meta = dict(ctx.trace.meta)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from repro.arch.params import PitonConfig
 from repro.obs.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -111,19 +112,23 @@ def build_requests(
     ``(point, resolved_freq_hz, PitonSystem)`` for the measurement
     replay, ``requests[i]`` the matching picklable
     :class:`~repro.system.SimRequest`.
+
+    One workload and one config serve the grid: one request template.
     """
+    workload = {tile: workload_factory(tile) for tile in tiles}
+    config = PitonConfig()
     systems: list[tuple[SweepPoint, float, PitonSystem]] = []
     requests = []
     for point in points:
         freq = point.resolved_freq_hz()
         system = PitonSystem.default(
-            persona=point.persona, seed=seed, tracer=tracer
+            persona=point.persona, config=config, seed=seed, tracer=tracer
         )
         system.set_operating_point(point.vdd, point.vdd + 0.05, freq)
         systems.append((point, freq, system))
         requests.append(
             system.sim_request(
-                {tile: workload_factory(tile) for tile in tiles},
+                workload,
                 warmup_cycles=warmup_cycles,
                 window_cycles=window_cycles,
             )
@@ -172,6 +177,9 @@ def sweep(
     replay. This is the fast path that turns dense V/f grids over
     *distinct* timing classes — the points batching cannot coalesce —
     from hours into seconds.
+
+    The parent hashes the grid's request template once; per point it
+    builds a bench, keys the clock and replays both measurements.
     """
     from repro.experiments.parallel import parallel_simulate
 

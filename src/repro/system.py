@@ -91,17 +91,6 @@ class SimRequest:
     #: is part of the request so pool workers honour it too.
     checks: bool = False
 
-    def batch_key(self):
-        """This request's timing class (see :mod:`repro.batch`).
-
-        Two requests with equal keys provably produce bit-identical
-        outcomes, which is what lets sweep grids coalesce them into
-        one simulation.
-        """
-        from repro.batch import batch_key
-
-        return batch_key(self)
-
 
 @dataclass
 class SimOutcome:

@@ -10,12 +10,17 @@ the de-batch paths where timing classes differ.
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+from types import SimpleNamespace
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.batch import plan_batches
+import repro.batch.key as key_module
+from repro.batch import batch_key, plan_batches
 from repro.experiments.parallel import parallel_simulate
-from repro.experiments.sweep import SweepPoint, sweep
+from repro.experiments.sweep import SweepPoint, build_requests, sweep
 from repro.isa.instructions import Unit
 from repro.isa.program import Instruction, flat_program
 from repro.silicon.variation import CHIP1, CHIP2, CHIP3
@@ -115,6 +120,77 @@ def test_sweep_records_identical_batched_vs_serial(points, kind):
     baseline = sweep(points, factory, batch=False, **kwargs)
     batched = sweep(points, factory, batch=True, **kwargs)
     assert batched.records == baseline.records
+
+
+def _reference_plan(requests):
+    """``(key bytes, members)`` per group, one :func:`batch_key` call,
+    and so one clockless digest, per request."""
+    groups: dict[bytes, list[int]] = {}
+    for index, request in enumerate(requests):
+        groups.setdefault(batch_key(request).to_bytes(), []).append(index)
+    return list(groups.items())
+
+
+@settings(max_examples=10, deadline=None)
+@given(points=POINTS)
+def test_template_keys_equal_per_request_keys(points):
+    """Shared templates (one workload and config per grid) and
+    per-point systems (a config and workload dict per request) mixed,
+    with one checked request and one with another window that share a
+    grid's objects: each group's key bytes and members are what keying
+    every request alone gives."""
+    # Two clocks on the memory workload, whatever hypothesis draws.
+    points = [
+        *points, SweepPoint(CHIP2, 0.9, 400e6), SweepPoint(CHIP2, 0.9, 700e6)
+    ]
+    kwargs = dict(warmup_cycles=100, window_cycles=400)
+    requests = []
+    for factory in FACTORIES.values():
+        grid = build_requests(points, factory, **kwargs)[1]
+        requests += grid
+        requests += _requests(points, factory)
+        requests.append(replace(grid[0], checks=True))
+        requests.append(replace(grid[-1], window_cycles=800))
+    plan = plan_batches(requests)
+    assert [
+        (group.key.to_bytes(), list(group.indices)) for group in plan.groups
+    ] == _reference_plan(requests)
+
+
+def test_one_digest_per_template(monkeypatch):
+    """A 96-point ``int`` grid and an 8-point ``mem_l2`` grid pickle
+    their one template each once."""
+    from repro.surrogate.workloads import CALIBRATION_WORKLOADS
+
+    dumps = []
+    monkeypatch.setattr(
+        key_module,
+        "pickle",
+        SimpleNamespace(
+            dumps=lambda *a, **kw: dumps.append(1) or pickle.dumps(*a, **kw),
+            HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
+        ),
+    )
+    for name, personas, vdds, clocks, n_points, n_groups in (
+        ("int", (CHIP1, CHIP2, CHIP3), 4, 8, 96, 1),
+        ("mem_l2", (CHIP2,), 2, 4, 8, 4),
+    ):
+        workload, warmup, window = CALIBRATION_WORKLOADS[name].build(True)
+        points = [
+            SweepPoint(persona, 0.85 + 0.05 * v, (200 + 50 * c) * 1e6)
+            for persona in personas
+            for v in range(vdds)
+            for c in range(clocks)
+        ]
+        requests = build_requests(
+            points, workload.__getitem__, tiles=list(workload),
+            warmup_cycles=warmup, window_cycles=window,
+        )[1]
+        dumps.clear()
+        plan = plan_batches(requests)
+        assert (plan.n_points, plan.n_groups, len(dumps)) == (
+            n_points, n_groups, 1
+        )
 
 
 def test_mem_tile_really_touches_memory():

@@ -3,13 +3,19 @@ repro.silicon (personas, yield)."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.board.monitor import MeasurementProtocol
 from repro.board.psu import BenchSupply, OnBoardSupply
 from repro.board.sense import CurrentSenseChannel, SenseResistor, VoltageMonitor
-from repro.board.testboard import ExperimentalSystem, PitonTestBoard
+from repro.board.testboard import (
+    ExperimentalSystem,
+    PitonTestBoard,
+    ThermalRunaway,
+)
 from repro.power.chip_power import ChipPowerModel, OperatingPoint, RailPower
 from repro.silicon.variation import (
     CHIP1,
@@ -25,6 +31,7 @@ from repro.silicon.yield_model import (
     YieldModel,
     YieldParameters,
 )
+from repro.thermal.cooling import STOCK_HEATSINK_FAN, no_heatsink_at_angle
 from repro.util.events import EventLedger
 from repro.util.rng import RngFactory
 from repro.util.stats import Measurement
@@ -215,6 +222,103 @@ class TestExperimentalSystem:
         ledger.record("instr.int_add", 1_000_000)
         hot = system.settle_temperature(ledger, 10_000)
         assert hot > cold > system.cooling.ambient_c
+
+
+def settle_reference(system, curve, activity):
+    """The settle loop ``_settle`` runs on floats: one ``RailPower`` per
+    damped step, the cooling's ``r_ja`` read at each. ``None`` when 100
+    steps do not converge. A runaway can also converge, on the leakage
+    clamp near 1e18 °C; every real settle stays below 200 °C."""
+    temp = system.cooling.ambient_c
+    for _ in range(100):
+        power = ExperimentalSystem._true_power(curve, temp, activity).total_w
+        new_temp = system.cooling.ambient_c + system.cooling.r_ja * power
+        if abs(new_temp - temp) < 0.01:
+            return new_temp
+        temp += 0.5 * (new_temp - temp)
+    return None
+
+
+class TestSettle:
+    def test_settle_equals_rail_power_reference(self):
+        """Settled temperatures and the measurements taken at them equal
+        the reference loop's bit for bit, idle and under load; points
+        where it never converges, or converges on the clamp, raise."""
+        ledger = EventLedger()
+        ledger.record("instr.int_add", 40_000, activity=0.3)
+        ledger.record("core.active_cycle", 50_000)
+        settled = runaways = 0
+        for persona, cooling, vdd, mhz, (work, window) in itertools.product(
+            PERSONAS.values(),
+            (STOCK_HEATSINK_FAN, no_heatsink_at_angle(30.0)),
+            (0.7, 0.8, 0.9, 1.0, 1.1, 1.2),
+            (100.0, 300.0, 500.0, 700.0, 900.0),
+            ((None, None), (ledger, 50_000)),
+        ):
+            system = ExperimentalSystem(
+                persona=persona, cooling=cooling, seed=3
+            )
+            system.set_operating_point(vdd, vdd + 0.05, mhz * 1e6)
+            curve = system._idle_curve()
+            activity = system._activity_power(work, window)
+            want = settle_reference(system, curve, activity)
+            point = (persona.name, cooling.name, vdd, mhz, window)
+            if want is None or want > 1000.0:
+                runaways += 1
+                with pytest.raises(ThermalRunaway):
+                    system.settle_temperature(work, window)
+                continue
+            settled += 1
+            assert system.settle_temperature(work, window) == want, point
+            expected = MeasurementProtocol(
+                RngFactory(3).stream("monitor")
+            ).measure_steady(
+                ExperimentalSystem._true_power(curve, want, activity),
+                system.board.rail_voltages(),
+            )
+            got = (
+                system.measure_idle()
+                if work is None
+                else system.measure_workload(work, window)
+            )
+            assert got == expected, point
+        assert settled > runaways > 0
+
+    def test_runaway_raises_naming_the_point(self):
+        system = ExperimentalSystem(persona=CHIP1)
+        system.set_operating_point(1.2, 1.25, 900e6)
+        with pytest.raises(
+            ThermalRunaway, match="chip1 at VDD 1.2 V, VCS 1.25 V, 900 MHz"
+        ):
+            system.measure_idle()
+
+    def test_slowest_settling_sweep_point_still_measures(self):
+        """chip1 at 1.2 V / 850 MHz under ``int`` settles: in 53 steps
+        idle and 87 loaded, the most of perfbench's sweep grids."""
+        from repro.experiments.context import RunContext
+        from repro.sweepspec import SweepSpec, run_sweepspec
+
+        spec = SweepSpec(
+            workload="int", personas=("chip1",), vdd=(1.2,),
+            freq_mhz=(850.0,), quick=True,
+        )
+        (record,) = run_sweepspec(spec, RunContext(quick=True)).records
+        assert record.idle_core_mw == pytest.approx(7464, rel=1e-3)
+        assert record.active_core_mw == pytest.approx(696.2, rel=1e-3)
+
+    def test_sweep_cli_exits_2_naming_the_point(self, tmp_path, capsys):
+        from repro.cli import main
+
+        code = main([
+            "sweep", "int", "--persona", "chip1", "--quick",
+            "--vdd-min", "1.2", "--vdd-max", "1.2", "--vdd-points", "1",
+            "--freq-min", "900", "--freq-max", "900", "--freq-points", "1",
+            "--checkpoint-dir", str(tmp_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: thermal runaway: chip1 at VDD 1.2 V, ")
+        assert "VCS 1.25 V, 900 MHz" in err
 
 
 class TestPersonas:
