@@ -157,8 +157,11 @@ class ExperimentalSystem:
             if abs(new_temp - temp) < 0.01 and max(vdd_x, vcs_x) < 40.0:
                 return new_temp
             temp += 0.5 * (new_temp - temp)
-        op = self.operating_point(temp)
-        raise ThermalRunaway(
+        raise self._runaway(temp)
+
+    def _runaway(self, temp_c: float) -> ThermalRunaway:
+        op = self.operating_point(temp_c)
+        return ThermalRunaway(
             f"thermal runaway: {self.persona.name} at VDD {op.vdd:g} V, "
             f"VCS {op.vcs:g} V, {op.freq_hz / 1e6:g} MHz never settles"
         )
@@ -172,13 +175,20 @@ class ExperimentalSystem:
 
     # ------------------------------------------------------------ measurement
     def measure_static(self) -> RailMeasurement:
-        """Inputs and clocks grounded (Table V 'static')."""
+        """Inputs and clocks grounded (Table V 'static'). Raises
+        ThermalRunaway when 50 undamped steps leave the die still
+        moving or its leakage exponent on the clamp."""
         # No clock, (almost) no self-heating: settle at static power.
         curve = self._idle_curve()
         temp = self.cooling.ambient_c
         for _ in range(50):
             power = curve.static_rails(temp).total_w
+            before = temp
             temp = self.cooling.ambient_c + self.cooling.r_ja * power
+        t_term = curve.leak_per_degc * (temp - curve.t_ref_c)
+        exponent = max(curve.vdd_v_term, curve.vcs_v_term) + t_term
+        if abs(temp - before) >= 0.01 or exponent >= 40.0:
+            raise self._runaway(temp)
         power = curve.static_rails(temp)
         return self._protocol.measure_steady(power, self.board.rail_voltages())
 

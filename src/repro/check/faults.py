@@ -63,11 +63,10 @@ GOVERNOR_FAULT_KINDS = (
 
 #: Execution-layer faults the resilience stack must absorb (as opposed
 #: to the simulator-bookkeeping faults above, which the checkers must
-#: *detect*). ``worker_crash``/``worker_hang`` arm via environment so
+#: *detect*) that :func:`arm_worker_fault` arms: via environment, so
 #: they reach pool workers in any process tree — including ``repro``
-#: invoked from a shell or CI; ``checkpoint_truncation`` tears the
-#: tail off a checkpoint journal the way a crashed filesystem would.
-WORKER_FAULT_KINDS = ("worker_crash", "worker_hang", "checkpoint_truncation")
+#: invoked from a shell or CI.
+WORKER_FAULT_KINDS = ("worker_crash", "worker_hang")
 
 #: ``kind:point`` — e.g. ``worker_crash:0`` crashes whichever worker
 #: picks up grid point 0 on its first attempt.
@@ -271,10 +270,9 @@ def arm_worker_fault(kind: str, point: int = 0) -> None:
     point run clean, which is exactly the transient-failure shape the
     supervisor exists to absorb.
     """
-    if kind not in ("worker_crash", "worker_hang"):
+    if kind not in WORKER_FAULT_KINDS:
         raise ValueError(
-            f"unknown worker fault {kind!r}; armable: "
-            "('worker_crash', 'worker_hang')"
+            f"unknown worker fault {kind!r}; armable: {WORKER_FAULT_KINDS}"
         )
     os.environ[WORKER_FAULT_ENV] = f"{kind}:{point}"
 
@@ -297,7 +295,7 @@ def active_worker_fault() -> tuple[str, int] | None:
             f"malformed {WORKER_FAULT_ENV}={spec!r}; expected "
             "'worker_crash:POINT' or 'worker_hang:POINT'"
         ) from None
-    if kind not in ("worker_crash", "worker_hang"):
+    if kind not in WORKER_FAULT_KINDS:
         raise ValueError(
             f"unknown worker fault kind {kind!r} in "
             f"{WORKER_FAULT_ENV}={spec!r}"

@@ -29,10 +29,10 @@ entry points a thread uses.
 Registers hold 64-bit unsigned values (every writer masks), so the
 generated code masks only the ops that can leave that range.
 
-:func:`interleave` gives the issue schedule of two threads' runs under
-the core's round-robin: it depends only on the runs' static latencies,
-where each thread stands, and when the second thread is next ready, so
-schedules are memoized per run.
+:func:`schedule` gives the issue schedule of two threads' runs, which
+:func:`~repro.core.spin.replay` derives from the runs' static
+latencies; it depends only on those, where each thread stands, and
+when the second thread is next ready, so it is memoized per run.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import functools
 import struct
 
 from repro.core.semantics import _fp_div, _sdivx
+from repro.core.spin import FAR, replay
 from repro.isa.instructions import NUM_FP_REGS, NUM_INT_REGS, WORD_MASK, opcode
 from repro.isa.program import Instruction
 
@@ -48,7 +49,7 @@ from repro.isa.program import Instruction
 #: per-instruction path (a block costs a few issues' worth of set-up).
 MIN_RUN = 4
 
-#: Interleave schedules kept per run before the memo is cleared.
+#: Two-thread schedules kept per run before the memo is cleared.
 MAX_SCHEDULES = 4096
 
 _M = f"{WORD_MASK:#x}"
@@ -290,19 +291,21 @@ class Run:
     ``cyc[j]`` is the issue offset of index ``j`` when the run issues
     alone from index 0 (``cyc[n]`` is when the thread is ready after
     the last one), and ``bits`` has bit ``cyc[j]`` set for every
-    index. ``schedules`` memoizes :func:`interleave` with this run as
-    the first thread's.
+    index. ``timing`` is the run's finite table for
+    :func:`~repro.core.spin.replay`, and ``schedules`` memoizes
+    :func:`schedule` with this run as the first thread's.
     """
 
-    __slots__ = ("n", "lat", "cyc", "bits", "branch", "full", "_part",
+    __slots__ = ("n", "timing", "cyc", "bits", "branch", "full", "_part",
                  "_instructions", "schedules")
 
     def __init__(self, instructions: tuple[Instruction, ...]):
         infos = [opcode(i.op) for i in instructions]
-        self.n = len(instructions)
-        self.lat = tuple(info.latency for info in infos)
+        self.n = n = len(instructions)
+        lats = [info.latency for info in infos]
+        self.timing = ((*lats, None), (-1,) * (n + 1))
         cyc = [0]
-        for latency in self.lat:
+        for latency in lats:
             cyc.append(cyc[-1] + latency)
         self.cyc = tuple(cyc)
         self.bits = sum(1 << c for c in cyc[:-1])
@@ -370,80 +373,23 @@ def resolve_runs(
     return tuple(table)
 
 
-def interleave(
+def schedule(
     run_a: Run, a: int, run_b: Run, b: int, ready_b: int, span: int
 ) -> tuple[int, int, int, int, bool, int, int, int]:
-    """Round-robin issue schedule of two threads at runs.
+    """Round-robin issue schedule of two threads at runs, memoized on
+    ``run_a``.
 
     Thread A issues index ``a`` of ``run_a`` at offset 0 (so the
     round-robin pointer then favours B); thread B stands at index ``b``
-    of ``run_b`` and is ready at offset ``ready_b``. Each cycle the
-    favoured ready thread issues, as :meth:`Core.step` selects. The
-    schedule ends when the selected thread's next index lies outside
-    its run, or at the first issue offset ``>= span``.
+    of ``run_b`` and is ready at offset ``ready_b``. The schedule ends
+    when the selected thread's next index lies outside its run, or at
+    the first issue offset ``>= span`` (which must exceed 0).
 
     Returns ``(issued_a, issued_b, ready_a, ready_b, last_is_b,
     switches, bits, last)``: issue counts, the threads' ready offsets
     after the schedule, whether B issued last, thread switches after
     the first issue, the issue offsets after the first as a bit mask,
     and the last issue offset.
-    """
-    lat_a, n_a = run_a.lat, run_a.n
-    lat_b, n_b = run_b.lat, run_b.n
-    ready_a = lat_a[a]
-    pa, pb = a + 1, b
-    b_turn = True
-    last_b = False
-    switches = bits = last = 0
-    t = 1
-    while True:
-        if b_turn:
-            if ready_b <= t:
-                sel_b = True
-            elif ready_a <= t:
-                sel_b = False
-            else:
-                t = ready_a if ready_a < ready_b else ready_b
-                continue
-        elif ready_a <= t:
-            sel_b = False
-        elif ready_b <= t:
-            sel_b = True
-        else:
-            t = ready_a if ready_a < ready_b else ready_b
-            continue
-        if t >= span:
-            break
-        if sel_b:
-            if pb == n_b:
-                break
-            ready_b = t + lat_b[pb]
-            pb += 1
-            b_turn = False
-        else:
-            if pa == n_a:
-                break
-            ready_a = t + lat_a[pa]
-            pa += 1
-            b_turn = True
-        if sel_b is not last_b:
-            switches += 1
-            last_b = sel_b
-        bits |= 1 << t
-        last = t
-        t += 1
-    return (pa - a, pb - b, ready_a, ready_b, last_b, switches, bits, last)
-
-
-#: An offset no block reaches (memoized schedules are computed with
-#: no limit and re-derived when the real limit cuts them).
-_UNBOUNDED = 1 << 62
-
-
-def schedule(
-    run_a: Run, a: int, run_b: Run, b: int, ready_b: int, span: int
-) -> tuple[int, int, int, int, bool, int, int, int]:
-    """:func:`interleave`, memoized on ``run_a``.
 
     ``ready_b`` is clamped to ``[1, span_a + 1]``, where ``span_a`` is
     when A is ready after issuing the rest of its run alone: B ready
@@ -463,7 +409,21 @@ def schedule(
     if sched is None:
         if len(memo) >= MAX_SCHEDULES:
             memo.clear()
-        sched = memo[key] = interleave(run_a, a, run_b, b, ready_b, _UNBOUNDED)
+        # Memoized with no limit; re-derived when the real one cuts it.
+        sched = memo[key] = _pair(run_a, a, run_b, b, ready_b, FAR)
     if sched[7] >= span:
-        sched = interleave(run_a, a, run_b, b, ready_b, span)
+        sched = _pair(run_a, a, run_b, b, ready_b, span)
     return sched
+
+
+def _pair(run_a: Run, a: int, run_b: Run, b: int, ready_b: int,
+          span: int) -> tuple[int, int, int, int, bool, int, int, int]:
+    pos, ready = [a, b], [0, ready_b]
+    codes, cycles, _ = replay((run_a.timing, run_b.timing), pos, ready, 0,
+                              0, 0, span, None, None, 0, 0, None)
+    bits = switches = 0
+    for code, t in zip(codes[1:], cycles[1:]):
+        bits |= 1 << t
+        switches += code & 1
+    return (pos[0] - a, pos[1] - b, ready[0], ready[1], codes[-1] >= 4,
+            switches, bits, cycles[-1])

@@ -37,14 +37,19 @@ thread's next instruction lies outside its run, as compiled code.
   ``max_cycles`` bound and next invariant sweep) and below the core's
   next store-buffer drain, so the check schedule and the drain order
   are unchanged.
-* At two threads a block is the round-robin interleave of both
-  threads' runs, which depends only on static latencies, and the
-  core's next event falls after the block's last issue.
+* A thread that issues alone (one thread per core, a finished partner,
+  or a partner not at a run, whose ready cycle then ends the block)
+  issues at its run's static offsets. When both threads stand at
+  runs, the block is their round-robin schedule, which
+  :func:`~repro.core.spin.replay` derives from static latencies (see
+  :func:`~repro.core.blocks.schedule`). Either way the core's next
+  event falls after the block's last issue.
 * A block accounts exactly what per-instruction steps would have:
   cycles, issues, stall cycles between issues (through the engine),
   thread switches, the round-robin pointer, ``ready_at``, per-thread
   instruction and branch counts, and per-class counts and activity
-  weights. It reports its issue cycles after the first in
+  weights; :meth:`Core.add_issues` adds the issues, as it does for
+  un-parking. A block reports its issue cycles after the first in
   :attr:`Core.block_bits`, for the engine to count as visits.
 * Cores with execution drafting and two threads keep the
   per-instruction path: draft status depends on both threads' pcs at
@@ -436,88 +441,69 @@ class Core:
     # ----------------------------------------------------------------- blocks
     def _issue_block(self, thread: ThreadContext, entry, now: int) -> int:
         """Issue the block starting with ``thread``'s run ``entry`` at
-        ``now``; returns the next-event cycle, or 0 when the block
-        would hold fewer than two issues (the caller then issues one
-        instruction)."""
+        ``now``, and return the next-event cycle: the earliest ready
+        unfinished thread or pending drain, but after the block's last
+        issue. Returns 0 when the block would hold fewer than two
+        issues (the caller then issues one instruction)."""
         run, index = entry
         limit = self.issue_limit
         drain = self.store_buffer._head_done_at
         if drain is not None and drain < limit:
             limit = drain
+        span = limit - now
+        if span < 2:  # a block's second issue would reach the limit
+            return 0
         threads = self.threads
+        other = pair = None
         if len(threads) == 2:
             other = threads[1] if thread is threads[0] else threads[0]
             if not other.done:
-                other_entry = other.runs[other.pc]
-                if other_entry is not None:
-                    return self._issue_pair(
-                        thread, entry, other, other_entry, now, limit
-                    )
-                # The other thread issues nothing in the block: the
-                # block ends once it is ready (the pointer favours it).
-                ready = other.ready_at
-                if ready <= now:
-                    return 0
-                if ready < limit:
-                    limit = ready
-        cyc = run.cyc
-        base = cyc[index]
-        n = run.n
-        span = limit - now
-        if cyc[n - 1] - base < span:
-            stop = n
+                pair = other.runs[other.pc]
+                if pair is None:
+                    # It issues nothing in the block, which ends once
+                    # it is ready (the pointer favours it).
+                    ready = other.ready_at - now
+                    if ready <= 0:
+                        return 0
+                    if ready < span:
+                        span = ready
+        if pair is not None:
+            # Both threads at runs: their round-robin schedule.
+            run_b, index_b = pair
+            (k, k_b, ready_a, ready_b, last_b, switches, bits,
+             end) = schedule(run, index, run_b, index_b,
+                             other.ready_at - now, span)
+            if k + k_b < 2:
+                return 0
+            self._execute(thread, run, index, k)
+            thread.ready_at = now + ready_a
+            if k_b:
+                self._execute(other, run_b, index_b, k_b)
+                other.ready_at = now + ready_b
+                k += k_b
+            final = other if last_b else thread
         else:
-            stop = bisect_left(cyc, base + span, index + 1, n)
-        k = stop - index
-        if k < 2:
-            return 0
-        self._execute(thread, run, index, k)
-        thread.ready_at = now + cyc[stop] - base
-        end = cyc[stop - 1] - base
-        bits = (run.bits >> base) & ((2 << end) - 2)
-        return self._close_block(now, k, thread, thread, 0, bits, end)
-
-    def _issue_pair(self, a: ThreadContext, entry_a, b: ThreadContext,
-                    entry_b, now: int, limit: int) -> int:
-        """A two-thread block: ``a`` issues at ``now``, then the
-        round-robin interleave of both threads' runs."""
-        run_a, index_a = entry_a
-        run_b, index_b = entry_b
-        (k_a, k_b, ready_a, ready_b, last_b, switches, bits,
-         end) = schedule(
-            run_a, index_a, run_b, index_b, b.ready_at - now, limit - now
-        )
-        if k_a + k_b < 2:
-            return 0
-        self._execute(a, run_a, index_a, k_a)
-        a.ready_at = now + ready_a
-        if k_b:
-            self._execute(b, run_b, index_b, k_b)
-            b.ready_at = now + ready_b
-        return self._close_block(
-            now, k_a + k_b, a, b if last_b else a, switches, bits, end
-        )
-
-    def _close_block(self, now: int, k: int, first: ThreadContext,
-                     final: ThreadContext, switches: int, bits: int,
-                     end: int) -> int:
-        """Account a block of ``k`` issues from ``first``'s at ``now``
-        to ``final``'s at ``now + end`` (``switches`` thread switches
-        between them, issue offsets after the first in ``bits``), and
-        return the next-event cycle: the earliest ready unfinished
-        thread or pending drain, but after the block's last issue."""
-        stats = self.stats
-        stats.issued += k
-        stats.cycles += k - 1
-        self._issues += k
+            cyc = run.cyc
+            base = cyc[index]
+            n = run.n
+            if cyc[n - 1] - base < span:
+                stop = n
+            else:
+                stop = bisect_left(cyc, base + span, index + 1, n)
+            k = stop - index
+            if k < 2:
+                return 0
+            self._execute(thread, run, index, k)
+            thread.ready_at = now + cyc[stop] - base
+            end = cyc[stop - 1] - base
+            bits = (run.bits >> base) & ((2 << end) - 2)
+            final, switches = thread, 0
+        # Issues at now..now + end; bits holds those after the first.
+        self.stats.cycles += k - 1
         last = self._last_issued_thread
-        if last is not None and last != first.thread_id:
+        if last is not None and last != thread.thread_id:
             switches += 1
-        self._thread_switches += switches
-        self._last_issued_thread = final.thread_id
-        threads = self.threads
-        if len(threads) == 2:
-            self._rr_next = 1 if final is threads[0] else 0
+        self.add_issues(k, switches, final.thread_id)
         self.block_bits = bits
         best = self.store_buffer._head_done_at
         for t in threads:
@@ -527,6 +513,18 @@ class Core:
             best = now + end + 1
         self.next_event = best
         return best
+
+    def add_issues(self, k: int, switches: int, last: int) -> None:
+        """Add ``k`` issues with ``switches`` thread switches among them,
+        the last by thread ``last``, to the core's statistics, switch
+        count and round-robin state (the caller counts the cycles)."""
+        self.stats.issued += k
+        self._issues += k
+        self._thread_switches += switches
+        self._last_issued_thread = last
+        n = len(self.threads)
+        if n > 1:
+            self._rr_next = last + 1 if last + 1 < n else 0
 
     def _execute(self, thread: ThreadContext, run, index: int,
                  k: int) -> None:

@@ -27,7 +27,9 @@ follow a fixed :class:`Schedule`, the round-robin interleave of its
 threads' loops and the buffer's serial drains, which is periodic. The
 periodic part, an :class:`Orbit`, is found once per engine for each
 set of loop timing tables by replaying that interleave until its state
-repeats, and every core whose state lies on it shares it: a core parks
+repeats (:func:`replay`, the one replay of the core's round-robin
+issue: two-thread blocks and the trace recorder replay finite tables
+with it), and every core whose state lies on it shares it: a core parks
 when its state at its next visit is one of the orbit's, and steps its
 transient until then. Counts, masks and next accesses come from the
 orbit's event lists by ``divmod`` and ``bisect``, and
@@ -63,7 +65,8 @@ FIRST_WAIT = 64
 #: Position kinds.
 PLAIN, LOAD, STORE, CAS = range(4)
 
-_FAR = 1 << 62
+#: A cycle no schedule reaches.
+FAR = 1 << 62
 
 
 class Loop:
@@ -265,63 +268,79 @@ class Orbits:
         self.sums: dict[tuple, tuple] = {}
 
 
-def _replay(tables, pos, ready, rr, last, buf, head, t, capacity, drain,
-            states) -> tuple | None:
-    """Replay the round-robin issue of loops with timing ``tables`` and
-    the store buffer's drains, as :meth:`Core.step` makes them, from
-    the state at visit cycle ``t`` until it repeats or joins an orbit
-    in ``states``; an orbit found joins ``states``. Returns the orbit
-    and event index of the state at ``t`` if it lies on one, else
-    ``None``, as when a store finds the buffer full."""
+def replay(tables, pos, ready, rr, last, t, span, buf, head, capacity,
+           drain, states) -> tuple:
+    """Replay the core's round-robin issue over per-thread position
+    tables, and its store buffer's drains, as :meth:`Core.step` makes
+    them from visit cycle ``t``. ``pos`` and ``ready`` hold each
+    thread's position and ready cycle, and are updated in place; ``rr``
+    is the pointer and ``last`` the thread that issued last.
+
+    ``tables[i]`` is ``(lats, slots)``, ``None`` once thread ``i``
+    finished: position ``p`` issues with latency ``lats[p]`` and pushes
+    store ``slots[p]`` into ``buf`` unless that is -1 (an entry is
+    ``thread << 8 | slot``; the head drains at ``head``, each next one
+    ``drain`` cycles on). A loop's table wraps; a finite one ends at a
+    ``None`` latency. The replay stops before a thread would issue
+    there or at a cycle ``>= span``.
+
+    Returns ``(codes, cycles, hit)``: the events, coded as an
+    :class:`Orbit`'s, and their cycles. Only given ``states`` does it
+    look for a period: it stops when its state repeats or joins an
+    orbit there (an orbit found joins ``states``), and ``hit`` is the
+    orbit and event index of the state at ``t`` if it lies on one, else
+    ``None``, as when a store finds the buffer full or
+    :data:`MAX_EVENTS` events pass.
+    """
     n_threads = len(tables)
     live = [i for i, table in enumerate(tables) if table is not None]
     codes: list[int] = []
     cycles: list[int] = []
     visits: list[tuple] = []
     seen: dict[tuple, int] = {}
-    known = states.get if states else None
-    while len(codes) < MAX_EVENTS:
-        # The state at visit cycle t, flat: what decides every later
-        # issue and drain (``buf`` holds ``thread << 8 | store index``).
-        key = (*pos, *[r - t if r > t else 0 for r in ready], rr, last,
-               -1 if head is None else head - t, *buf)
-        hit = known and known(key)
-        if hit:
-            return None if visits else hit
-        first = seen.get(key)
-        if first is not None:
-            _, e0, t0 = visits[first]
-            orbit = Orbit(codes[e0:], [c - t0 for c in cycles[e0:]],
-                          t - t0, n_threads)
-            for state, e, _ in visits[first:]:
-                states[state] = (orbit, e - e0)
-            return states[visits[0][0]] if first == 0 else None
-        seen[key] = len(visits)
-        visits.append((key, len(codes), t))
+    while states is None or len(codes) < MAX_EVENTS:
+        if states is not None:
+            # The state at visit cycle t, flat: what decides every
+            # later issue and drain.
+            key = (*pos, *[r - t if r > t else 0 for r in ready], rr, last,
+                   -1 if head is None else head - t, *buf)
+            hit = states.get(key) if states else None
+            if hit:
+                return codes, cycles, None if visits else hit
+            first = seen.get(key)
+            if first is not None:
+                _, e0, t0 = visits[first]
+                orbit = Orbit(codes[e0:], [c - t0 for c in cycles[e0:]],
+                              t - t0, n_threads)
+                for state, e, _ in visits[first:]:
+                    states[state] = (orbit, e - e0)
+                # The state at t is on it iff the period starts there.
+                return codes, cycles, states.get(visits[0][0])
+            seen[key] = len(visits)
+            visits.append((key, len(codes), t))
         if head is not None and head <= t:
             codes.append(~(buf.popleft() >> 8))
             cycles.append(t)
             head = t + drain if buf else None
         sel = None
-        if n_threads == 1:
-            if ready[0] <= t:
-                sel = 0
-        else:
-            idx = rr
-            for _ in range(n_threads):
-                cand = idx
-                idx = idx + 1 if idx + 1 < n_threads else 0
-                if tables[cand] is not None and ready[cand] <= t:
-                    sel, rr = cand, idx
-                    break
+        idx = rr
+        for _ in range(n_threads):
+            cand = idx
+            idx = idx + 1 if idx + 1 < n_threads else 0
+            if tables[cand] is not None and ready[cand] <= t:
+                sel, rr = cand, idx
+                break
         if sel is not None:
             lats, slots = tables[sel]
             p = pos[sel]
+            lat = lats[p]
+            if lat is None or t >= span:
+                break
             code = sel << 2
             s = slots[p]
             if s >= 0:
                 if len(buf) >= capacity:
-                    return None
+                    break
                 buf.append(sel << 8 | s)
                 code |= 2
                 if head is None:
@@ -330,7 +349,7 @@ def _replay(tables, pos, ready, rr, last, buf, head, t, capacity, drain,
                 code |= 1
             codes.append(code)
             cycles.append(t)
-            ready[sel] = t + lats[p]
+            ready[sel] = t + lat
             pos[sel] = p + 1 if p + 1 < len(lats) else 0
             last = sel
         nxt = head
@@ -338,7 +357,7 @@ def _replay(tables, pos, ready, rr, last, buf, head, t, capacity, drain,
             if nxt is None or ready[i] < nxt:
                 nxt = ready[i]
         t = nxt if nxt > t else t + 1
-    return None
+    return codes, cycles, None
 
 
 def schedule(core) -> "Schedule | None":
@@ -397,9 +416,9 @@ def schedule(core) -> "Schedule | None":
         if loop is not None and not loop.holds(core):
             return None
     if hit is None:
-        hit = _replay(
+        _, _, hit = replay(
             [loop and loop.timing for loop in loops], list(pos),
-            list(ready), rr, last, deque(buf), head, t, sb.capacity,
+            list(ready), rr, last, t, FAR, deque(buf), head, sb.capacity,
             sb.drain_cycles, states,
         )
         if hit is None:
@@ -444,7 +463,7 @@ class Schedule:
         self.pushed = sb.pushed
         self.nt = nt = len(loops)
         self.base = [self._cum(g, j) for g in range(3 * nt + 1)]
-        self.broken = _FAR
+        self.broken = FAR
         # addr -> (group, period, start, target) of each access to it,
         # and the cycles of its accesses in the first orbit period
         # (relative to ``first``), built on first use
@@ -670,16 +689,9 @@ class Schedule:
         for _, addr, drain in touches:
             memsys.touch_private(tile, addr, drain)
         self._restore_buffer(core, total, drains, pushes)
-        last = final[1]
-        if last is not None:
-            core._last_issued_thread = last
-            if nt > 1:
-                core._rr_next = last + 1 if last + 1 < nt else 0
-        stats = core.stats
-        stats.issued += issues
-        stats.cycles += issues
-        core._issues += issues
-        core._thread_switches += self.count(3 * nt, total)
+        if issues:
+            core.stats.cycles += issues
+            core.add_issues(issues, self.count(3 * nt, total), final[1])
         return issues
 
     def _restore_buffer(self, core, total, drains, pushes) -> None:

@@ -10,11 +10,12 @@ performed on its EPI tests through RTL simulation.
 
 One step can issue a whole block (see :mod:`repro.core.pipeline`). The
 recorder learns from each step how many instructions every thread
-committed and replays the core's round-robin selection over those
-issues with their static latencies, so every entry carries its real
-cycle, thread and pc, whether it issued alone or inside a block. A
-block never holds a load, store or ``cas``, so a memory op always
-issues alone, and its entry carries the address the issue computed.
+committed and orders those issues by their static latencies with
+:func:`~repro.core.spin.replay`, the core's round-robin from the
+step's cycle and pointer, so every entry carries its real cycle,
+thread and pc, whether it issued alone or inside a block. A block
+never holds a load, store or ``cas``, so a memory op always issues
+alone, and its entry carries the address the issue computed.
 
 A parked core (see :mod:`repro.core.multicore`) issues without steps.
 The recorder also wraps :meth:`Core.unpark`, which accounts a parked
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.pipeline import Core
+from repro.core.spin import FAR, replay
 from repro.isa.instructions import Unit
 
 
@@ -85,7 +87,7 @@ class TraceRecorder:
                 for t, (count, *_) in zip(threads, before)
             ]
             if any(left):
-                _replay(core, before, rr, left, now, entries)
+                _record(core, before, rr, left, now, entries)
             return next_event
 
         original_unpark = core.unpark
@@ -145,52 +147,38 @@ class TraceRecorder:
         return len(self.entries) / span
 
 
-def _replay(core: Core, before, rr: int, left: list[int], now: int,
+def _record(core: Core, before, rr: int, left: list[int], now: int,
             entries) -> None:
     """Append the issues one step made: ``left[i]`` instructions of
-    thread ``i``, selected round-robin from pointer ``rr`` among ready
-    threads from cycle ``now`` on. Only a block issues more than one,
-    and a block's instructions are sequential register-only ops whose
-    latencies are static. A memory op issues alone, so the core's
-    outcome still holds its address."""
+    thread ``i`` from its pc, replayed round-robin from pointer ``rr``
+    at cycle ``now``. Only a block issues more than one, and a block's
+    instructions are sequential register-only ops whose latencies are
+    static. A memory op issues alone, so the core's outcome still holds
+    its address."""
     threads = core.threads
-    n = len(threads)
     pcs = [pc for _, pc, _, _ in before]
-    ready = [r for _, _, r, _ in before]
-    live = [not done for _, _, _, done in before]
-    t = now
-    remaining = sum(left)
-    while remaining:
-        selected = None
-        for j in range(n):
-            i = (rr + j) % n
-            if live[i] and ready[i] <= t:
-                selected = i
-                break
-        if selected is None:
-            t = min(r for r, ok in zip(ready, live) if ok)
-            continue
-        if not left[selected]:
-            break
-        thread = threads[selected]
-        pc = pcs[selected]
-        instr = thread.program[pc]
-        info = thread.infos[pc]
+    tables = []
+    for thread, k, pc, (*_, done) in zip(threads, left, pcs, before):
+        lats = [info.latency for info in thread.infos[pc:pc + k]]
+        tables.append(None if done else ((*lats, None), (-1,) * (k + 1)))
+    codes, cycles, _ = replay(
+        tables, [0] * len(threads), [r for _, _, r, _ in before], rr, None,
+        now, FAR, None, None, 0, 0, None,
+    )
+    for code, cycle in zip(codes, cycles):
+        thread = threads[code >> 2]
+        pc = pcs[code >> 2]
+        pcs[code >> 2] = pc + 1
         entries.append(
             TraceEntry(
-                cycle=t,
+                cycle=cycle,
                 tile=core.tile_id,
                 thread=thread.thread_id,
                 pc=pc,
-                op=instr.op,
+                op=thread.program[pc].op,
                 mem_addr=(
-                    core._outcome.mem_addr if info.unit is Unit.MEM else None
+                    core._outcome.mem_addr
+                    if thread.infos[pc].unit is Unit.MEM else None
                 ),
             )
         )
-        ready[selected] = t + info.latency
-        pcs[selected] = pc + 1
-        left[selected] -= 1
-        remaining -= 1
-        rr = (selected + 1) % n
-        t += 1

@@ -27,7 +27,6 @@ class Port(enum.IntEnum):
 PORTS = tuple(Port)
 
 X_PORTS = (Port.EAST, Port.WEST)
-Y_PORTS = (Port.NORTH, Port.SOUTH)
 
 
 def is_turn(in_port: Port, out_port: Port) -> bool:

@@ -292,6 +292,26 @@ class TestSettle:
         ):
             system.measure_idle()
 
+    def test_static_runaway_raises_naming_the_point(self):
+        """With no heatsink, chip1's static die at 1.2 V / 900 MHz runs
+        away: its last step moves it by 0 C only because the leakage
+        exponent sits on its clamp."""
+        system = ExperimentalSystem(
+            persona=CHIP1, cooling=no_heatsink_at_angle(30.0)
+        )
+        system.set_operating_point(1.2, 1.25, 900e6)
+        with pytest.raises(
+            ThermalRunaway, match="chip1 at VDD 1.2 V, VCS 1.25 V, 900 MHz"
+        ):
+            system.measure_static()
+
+    def test_static_stock_point_still_measures(self):
+        system = ExperimentalSystem(persona=CHIP1)
+        system.set_operating_point(1.2, 1.25, 900e6)
+        assert system.measure_static().total.value == pytest.approx(
+            0.947, rel=1e-3
+        )
+
     def test_slowest_settling_sweep_point_still_measures(self):
         """chip1 at 1.2 V / 850 MHz under ``int`` settles: in 53 steps
         idle and 87 loaded, the most of perfbench's sweep grids."""
