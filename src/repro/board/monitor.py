@@ -10,7 +10,7 @@ samples from the average."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,6 +21,10 @@ from repro.util.stats import Measurement
 
 #: true_power(t_seconds) -> RailPower: what the chip is really drawing.
 PowerSource = Callable[[float], RailPower]
+
+#: Points one array pass reads: each holds about 12 KB of temporaries,
+#: so a pass stays under 400 KB however large the grid.
+_POINTS_PER_PASS = 32
 
 
 @dataclass(frozen=True)
@@ -94,46 +98,95 @@ class MeasurementProtocol:
         real power fluctuations (phases, refresh) land in the error bar
         exactly as they would on the bench.
         """
-        true_w = np.array([
+        true_w = np.array([[
             (p.vdd_w, p.vcs_w, p.vio_w)
             for p in (
                 power_source(start_time_s + k / self.poll_hz)
                 for k in range(self.samples)
             )
-        ])
-        return self._sample(true_w, voltages)
+        ]])
+        return self._sample(true_w, self._volts([voltages]))[0]
 
     def measure_steady(
         self, power: RailPower, voltages: dict[str, float]
     ) -> RailMeasurement:
         """Measure a time-invariant power draw."""
-        true_w = np.array((power.vdd_w, power.vcs_w, power.vio_w))
-        return self._sample(true_w, voltages)
+        return self.measure_points([power], [voltages])[0]
+
+    def measure_points(
+        self,
+        powers: Sequence[RailPower],
+        voltages: Sequence[dict[str, float]],
+    ) -> list[RailMeasurement]:
+        """Measure each point's time-invariant draw ``powers[i]`` at
+        ``voltages[i]`` with one block of noise: every point gets what
+        :meth:`measure_steady` would give it as this protocol's next
+        measurement."""
+        true_w = np.array([(p.vdd_w, p.vcs_w, p.vio_w) for p in powers])
+        return self._sample(true_w, self._volts(voltages))
+
+    @staticmethod
+    def _volts(voltages: Sequence[dict[str, float]]) -> np.ndarray:
+        return np.array([(v["vdd"], v["vcs"], v["vio"]) for v in voltages])
 
     def _sample(
-        self, true_w: np.ndarray, voltages: dict[str, float]
-    ) -> RailMeasurement:
-        """Read ``true_w`` (samples x rails, or one row for a steady
-        draw) through the monitors.
+        self, true_w: np.ndarray, volts: np.ndarray
+    ) -> list[RailMeasurement]:
+        """Read each point's ``true_w`` (points x rails for a steady
+        draw, or points x samples x rails) at its ``volts`` (points x
+        rails) through the monitors.
 
         One draw supplies every reading's noise, in the order the bench
         polls: sample, then rail, then voltage, high and low monitor.
         Element for element this is :meth:`VoltageMonitor.read` and
-        :meth:`CurrentSenseChannel.read_current_a` in that order. Rails
-        reduce as rows of a contiguous ``(rails, samples)`` copy, summed
-        pairwise like ``mean_std``; axis 0 of ``(samples, rails)`` would
-        sum row by row and move the last bits.
+        :meth:`CurrentSenseChannel.read_current_a` in that order, and
+        every point reads the same block. Rails reduce as rows of a
+        contiguous ``(points, rails, samples)`` copy, summed pairwise
+        like ``mean_std``; a samples axis that is not the last would
+        sum row by row and move the last bits. Passes of up to
+        ``_POINTS_PER_PASS`` points read and reduce in place.
         """
         noise = self._rng.standard_normal((self.samples, *self._sigma.shape))
         noise *= self._sigma
-        volts = np.array([voltages[rail] for rail in self._rails])
+        volts = volts[:, None]
+        true_w = true_w.reshape(len(volts), -1, 3)
+        means, stds = [], []
+        for first in range(0, len(volts), _POINTS_PER_PASS):
+            rows = self._read(
+                noise,
+                true_w[first:first + _POINTS_PER_PASS],
+                volts[first:first + _POINTS_PER_PASS],
+            )
+            # numpy's mean and std, in place: the sum over the count,
+            # then the root of the mean squared deviation from it.
+            mean = rows.sum(axis=2, keepdims=True)
+            mean /= self.samples
+            rows -= mean
+            rows *= rows
+            std = rows.sum(axis=2)
+            std /= self.samples
+            np.sqrt(std, out=std)
+            means += mean[..., 0].tolist()
+            stds += std.tolist()
+        return [
+            RailMeasurement(*map(Measurement, m, s))
+            for m, s in zip(means, stds)
+        ]
+
+    def _read(
+        self, noise: np.ndarray, true_w: np.ndarray, volts: np.ndarray
+    ) -> np.ndarray:
+        """Each point's power samples as ``(points, rails, samples)``."""
         true_v = np.empty((*true_w.shape, 3))
-        true_v[...] = volts[:, None]
+        true_v[...] = volts[..., None]
         true_v[..., 1] = volts + true_w / volts * self._ohms
         # Each monitor's ADC rounds to the nearest LSB, ties to even.
-        read = np.rint((true_v + noise) / self._lsb) * self._lsb
-        volts_meas, high, low = read[:, :, 0], read[:, :, 1], read[:, :, 2]
-        power = (volts_meas * ((high - low) / self._ohms)).T.copy()
-        return RailMeasurement(*map(
-            Measurement, power.mean(axis=1).tolist(), power.std(axis=1).tolist()
-        ))
+        read = noise + true_v
+        read /= self._lsb
+        np.rint(read, out=read)
+        read *= self._lsb
+        power = read[..., 1]
+        power -= read[..., 2]
+        power /= self._ohms
+        power *= read[..., 0]
+        return power.transpose(0, 2, 1).copy()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import exp
+from typing import NamedTuple
 
 from repro.arch.params import DEFAULT_MEASUREMENT, MeasurementDefaults
 from repro.board.monitor import MeasurementProtocol, RailMeasurement
@@ -31,6 +32,15 @@ from repro.util.rng import RngFactory
 
 class ThermalRunaway(RuntimeError):
     """The die never settles thermally: no steady state to measure."""
+
+
+class Settled(NamedTuple):
+    """A die at thermal steady state, before the monitors read it."""
+
+    temp_c: float
+    power: RailPower
+    #: The rail voltages it was priced at, as the board reports them.
+    voltages: dict[str, float]
 
 
 @dataclass
@@ -93,8 +103,12 @@ class ExperimentalSystem:
         self.board.set_rails(vdd, vcs, vio)
         self.freq_hz = freq_hz
 
-    def operating_point(self, temp_c: float) -> OperatingPoint:
-        rails = self.board.rail_voltages()
+    def operating_point(
+        self, temp_c: float, rails: dict[str, float] | None = None
+    ) -> OperatingPoint:
+        """The operating point at ``temp_c`` on ``rails`` (read from
+        the board when ``None``)."""
+        rails = rails or self.board.rail_voltages()
         return OperatingPoint(
             vdd=rails["vdd"],
             vcs=rails["vcs"],
@@ -110,9 +124,22 @@ class ExperimentalSystem:
         window_cycles: float | None = None,
     ) -> float:
         """Die temperature once the power-thermal loop settles."""
-        return self._settle(
-            self._idle_curve(), self._activity_power(ledger, window_cycles)
-        )
+        return self.settled(ledger, window_cycles).temp_c
+
+    def settled(
+        self,
+        ledger: EventLedger | None = None,
+        window_cycles: float | None = None,
+    ) -> Settled:
+        """Settle the die under ``ledger``'s activity over
+        ``window_cycles`` (an idle chip for ``None``): its temperature
+        and true rail power, priced on one read of the rails."""
+        rails = self.board.rail_voltages()
+        op = self.operating_point(self.cooling.ambient_c, rails)
+        curve = self.power_model.idle_curve(op)
+        activity = self._activity_power(ledger, window_cycles, op)
+        temp = self._settle(curve, activity)
+        return Settled(temp, self._true_power(curve, temp, activity), rails)
 
     def _idle_curve(self) -> IdleCurve:
         """Idle power at the rails' (V, f): fixed while the die
@@ -125,8 +152,10 @@ class ExperimentalSystem:
         self,
         ledger: EventLedger | None,
         window_cycles: float | None,
+        op: OperatingPoint | None = None,
     ) -> RailPower | None:
-        """The ledger's event power, ``None`` for an idle chip.
+        """The ledger's event power at ``op`` (the rails at ambient by
+        default), ``None`` for an idle chip.
 
         Event power does not depend on die temperature, so one
         measurement prices its ledger once, outside the settle loop.
@@ -136,7 +165,9 @@ class ExperimentalSystem:
         if window_cycles is None:
             raise ValueError("workload power needs a cycle window")
         return self.power_model.event_power(
-            ledger, window_cycles, self.operating_point(self.cooling.ambient_c)
+            ledger,
+            window_cycles,
+            op or self.operating_point(self.cooling.ambient_c),
         )
 
     def _settle(self, curve: IdleCurve, activity: RailPower | None) -> float:
@@ -202,11 +233,8 @@ class ExperimentalSystem:
         window_cycles: float | None,
     ) -> RailMeasurement:
         """The standard steady-state measurement of a running workload."""
-        activity = self._activity_power(ledger, window_cycles)
-        curve = self._idle_curve()
-        temp = self._settle(curve, activity)
-        power = self._true_power(curve, temp, activity)
-        return self._protocol.measure_steady(power, self.board.rail_voltages())
+        settled = self.settled(ledger, window_cycles)
+        return self._protocol.measure_steady(settled.power, settled.voltages)
 
     def true_total_power_w(
         self,
@@ -215,7 +243,4 @@ class ExperimentalSystem:
     ) -> float:
         """Noise-free model power at the settled temperature (for
         tests and cross-checks, not for experiment outputs)."""
-        activity = self._activity_power(ledger, window_cycles)
-        curve = self._idle_curve()
-        temp = self._settle(curve, activity)
-        return self._true_power(curve, temp, activity).total_w
+        return self.settled(ledger, window_cycles).power.total_w

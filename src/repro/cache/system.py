@@ -349,10 +349,14 @@ class CoherentMemorySystem:
 
     def touch_private(self, tile: int, addr: int, drain: bool) -> None:
         """Replay a load's (a drain's) LRU touch of ``addr`` in
-        ``tile``'s L1D (and L1.5), where the line is still resident."""
+        ``tile``'s L1D (and L1.5), where the line is still resident.
+        A drain dirties the L1.5 line only while the tile still holds
+        it MODIFIED: a foreign read since then left it SHARED and
+        clean."""
         self.l1d[tile].touch(addr, drain)
         if drain:
-            self.l15[tile].touch(addr, True)
+            state = self._l15_state[tile].get(self._l15_line(tile, addr))
+            self.l15[tile].touch(addr, state is MesiState.MODIFIED)
 
     def _record(self, events, n: int) -> None:
         counts = self.ledger.counts

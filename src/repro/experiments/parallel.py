@@ -15,8 +15,11 @@ results to a serial run by construction:
    iteration order;
 2. simulate them with :func:`parallel_simulate` (outcomes come back
    in request order, whatever order workers finish in);
-3. replay the measurements serially, in the parent process, in the
-   original order, via :meth:`PitonSystem.measure_outcome`.
+3. measure them in the parent process, in the original order: via
+   :meth:`PitonSystem.measure_outcome` on the experiment's bench, or,
+   for a sweep grid whose points each stand for a bench of their own,
+   by settling each point in order and reading all of them through
+   one fresh protocol (:func:`repro.experiments.sweep.sweep`).
 
 Every grid runs through one executor, :func:`batched_simulate`, over
 groups of grid indices: timing classes with ``batch=True`` (see
@@ -32,8 +35,9 @@ grid in order, so resumed and batched results are bit-identical to
 serial ones.
 
 The parent hashes each request template once (:mod:`repro.batch.key`);
-per point it reads the clock into the key and replays the measurement:
-a settle on floats, one noise draw and one reduction of 128 samples.
+per point it reads the clock into the key and settles the die on
+floats, and a sweep grid reads every point's 128 samples in one array
+pass per measurement.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.arch.params import PitonConfig
+from repro.board.testboard import PitonTestBoard
 from repro.obs.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -21,6 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.power.vf_curve import VfCurve
 from repro.silicon.variation import CHIP2, ChipPersona
 from repro.system import PitonSystem
+from repro.util.rng import RngFactory
 from repro.util.tables import render_table
 from repro.workloads.base import TileProgram
 
@@ -100,7 +102,7 @@ def build_requests(
     seed: int = 0,
     tracer: "Tracer | None" = None,
 ):
-    """Build every grid point's bench and simulation request, in order.
+    """Build every grid point's simulation request, in order.
 
     This is the one request-construction path shared by :func:`sweep`
     (and through it ``repro sweep``) and the ``repro serve`` daemon —
@@ -109,22 +111,27 @@ def build_requests(
     timing class the same way everywhere.
 
     Returns ``(systems, requests)``: ``systems[i]`` is
-    ``(point, resolved_freq_hz, PitonSystem)`` for the measurement
-    replay, ``requests[i]`` the matching picklable
-    :class:`~repro.system.SimRequest`.
+    ``(point, resolved_freq_hz, PitonSystem)``, ``requests[i]`` the
+    matching picklable :class:`~repro.system.SimRequest`, taken at the
+    point's clock. ``systems[i]`` has no bench of its own: the points
+    of one persona share one system, which is left at that persona's
+    last operating point.
 
     One workload and one config serve the grid: one request template.
     """
     workload = {tile: workload_factory(tile) for tile in tiles}
     config = PitonConfig()
+    benches: dict[ChipPersona, PitonSystem] = {}
     systems: list[tuple[SweepPoint, float, PitonSystem]] = []
     requests = []
     for point in points:
+        system = benches.get(point.persona)
+        if system is None:
+            system = benches[point.persona] = PitonSystem.default(
+                persona=point.persona, config=config, seed=seed, tracer=tracer
+            )
         freq = point.resolved_freq_hz()
-        system = PitonSystem.default(
-            persona=point.persona, config=config, seed=seed, tracer=tracer
-        )
-        system.set_operating_point(point.vdd, point.vdd + 0.05, freq)
+        system.bench.set_operating_point(point.vdd, point.vdd + 0.05, freq)
         systems.append((point, freq, system))
         requests.append(
             system.sim_request(
@@ -133,6 +140,12 @@ def build_requests(
                 window_cycles=window_cycles,
             )
         )
+    if systems:
+        # Notes are last-write-wins: leave the last point's persona and
+        # operating point, as a bench built for each point did.
+        point, freq, system = systems[-1]
+        system.tracer.note("persona", point.persona.name)
+        system.set_operating_point(point.vdd, point.vdd + 0.05, freq)
     return systems, requests
 
 
@@ -155,13 +168,18 @@ def sweep(
     window divided by instructions issued — the workload-level analogue
     of the paper's per-instruction EPI.
 
-    ``jobs > 1`` fans the per-point simulations across worker
-    processes; every point gets its own bench (its own RNG stream
-    seeded with ``seed``), and measurements run serially in grid
-    order, so results are identical for any ``jobs``. An enabled
-    ``tracer`` collects per-point wall times and measurement spans,
-    exactly as the registry experiments do. ``supervision`` (see
-    :mod:`repro.resilience`) adds retry/deadline handling and
+    Every point is measured as if on its own bench seeded with
+    ``seed``: a fresh monitor stream whose first 128-sample block reads
+    the idle die and whose second reads the loaded one. Those are the
+    same two blocks for every point, so the grid is priced on one
+    bench per persona: each point's die settles (idle, then loaded) as
+    its outcome arrives, and then one fresh protocol reads every
+    point's idle draw with its first block and every loaded draw with
+    its second. ``jobs > 1`` fans the per-point simulations across
+    worker processes; results are identical for any ``jobs``. An
+    enabled ``tracer`` collects per-point wall times and measurement
+    spans, exactly as the registry experiments do. ``supervision``
+    (see :mod:`repro.resilience`) adds retry/deadline handling and
     checkpoint journaling, again without touching results.
 
     ``batch`` (default on) coalesces grid points sharing a timing
@@ -173,17 +191,16 @@ def sweep(
     ``fidelity`` (from :meth:`RunContext.fidelity_policy`, or a
     :class:`~repro.surrogate.FidelityPolicy` built directly) is the
     two-tier dispatcher: calibrated points within tolerance skip the
-    simulator entirely and are priced through the same measurement
-    replay. This is the fast path that turns dense V/f grids over
-    *distinct* timing classes — the points batching cannot coalesce —
-    from hours into seconds.
+    simulator entirely and are priced the same way. This is the fast
+    path that turns dense V/f grids over *distinct* timing classes —
+    the points batching cannot coalesce — from hours into seconds.
 
     The parent hashes the grid's request template once; per point it
-    builds a bench, keys the clock and replays both measurements.
+    keys the clock and settles the die twice on floats, and the grid
+    reads its monitors in two array passes.
     """
     from repro.experiments.parallel import parallel_simulate
 
-    result = SweepResult()
     systems, requests = build_requests(
         points,
         workload_factory,
@@ -202,12 +219,33 @@ def sweep(
         fidelity=fidelity,
     )
 
+    at_idle, under_load, runs = [], [], []
     for (point, freq, system), outcome in zip(systems, outcomes):
-        idle = system.measure_idle().core.value
-        run = system.measure_outcome(outcome)
-        active = run.measurement.core.value - idle
-        instructions = max(1, run.result.instructions)
-        window_s = run.window_cycles / freq
+        bench = system.bench
+        bench.set_operating_point(point.vdd, point.vdd + 0.05, freq)
+        ledger, cycles = outcome.ledger, outcome.result.cycles
+        with system.tracer.span("measure"):
+            at_idle.append(bench.settled())
+            under_load.append(bench.settled(ledger, cycles))
+        system.tracer.observe_ledger(ledger, cycles)
+        runs.append(outcome.result)
+
+    # The two blocks every point's own fresh bench drew, in its order.
+    protocol = PitonTestBoard(rngs=RngFactory(seed)).protocol()
+    idle_m = protocol.measure_points(
+        [s.power for s in at_idle], [s.voltages for s in at_idle]
+    )
+    load_m = protocol.measure_points(
+        [s.power for s in under_load], [s.voltages for s in under_load]
+    )
+    result = SweepResult()
+    for (point, freq, _), run, idle_at, load_at in zip(
+        systems, runs, idle_m, load_m
+    ):
+        idle = idle_at.core.value
+        active = load_at.core.value - idle
+        instructions = max(1, run.instructions)
+        window_s = run.cycles / freq
         result.records.append(
             SweepRecord(
                 persona=point.persona.name,

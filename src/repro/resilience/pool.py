@@ -309,26 +309,35 @@ class SupervisedPool:
         worker.task_q.cancel_join_thread()
 
     def _maintain_strength(self) -> None:
-        """Keep one worker per outstanding point, capped at ``jobs``."""
+        """Keep one worker per outstanding point, capped at ``jobs``;
+        each new worker gets a ready point before the next one forks."""
         outstanding = len(self._tasks) - len(self._results)
         while len(self._workers) < min(self.jobs, outstanding):
             self._spawn_worker()
+            self._assign_ready()
 
     def _teardown(self) -> None:
         """Terminate and join every worker; drop the queues.
 
-        Runs on success, on grid failure, and on interrupt — the
-        regression the bare-``Pool`` path had (leaked workers after a
+        Every idle worker gets its sentinel before any is joined, so
+        they exit side by side; busy ones are terminated. Runs on
+        success, on grid failure, and on interrupt — the regression
+        the bare-``Pool`` path had (leaked workers after a
         ``KeyboardInterrupt`` mid-``map``) cannot recur by design.
         """
+        idle = [
+            worker
+            for worker in self._workers.values()
+            if worker.proc.is_alive() and worker.assigned is None
+        ]
+        for worker in idle:
+            try:
+                worker.task_q.put(None)
+            except (ValueError, OSError):  # pragma: no cover
+                pass
+        for worker in idle:
+            worker.proc.join(_TERM_GRACE_S)
         for worker_id in list(self._workers):
-            worker = self._workers[worker_id]
-            if worker.proc.is_alive() and worker.assigned is None:
-                try:
-                    worker.task_q.put(None)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-                worker.proc.join(_TERM_GRACE_S)
             self._dismiss_worker(worker_id, kill=True)
         if self._result_q is not None:
             self._result_q.close()
@@ -381,6 +390,10 @@ class SupervisedPool:
                 )
                 worker.assigned = None
                 worker.started_at = None
+                # Its next point goes out before the bookkeeping below
+                # (the journal append, or queueing a retry), so the
+                # worker simulates while the supervisor writes.
+                self._assign_ready()
             if kind == "done":
                 self._complete(index, body)
             else:  # "error"

@@ -256,6 +256,63 @@ def test_supervised_pool_interrupt_leaves_no_children():
     assert after <= before
 
 
+def _worker_pid(task):
+    return os.getpid()
+
+
+class _RecordingPool(SupervisedPool):
+    """Records each fork (with what the workers before it hold) and
+    the sentinels and joins of its teardown, in order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.events: list[tuple[str, object]] = []
+
+    def _spawn_worker(self):
+        held = [worker.assigned for worker in self._workers.values()]
+        self.events.append(("spawn", held))
+        super()._spawn_worker()
+
+    def _teardown(self):
+        for worker in self._workers.values():
+            worker.task_q.put = self._recorded("put", worker.task_q.put)
+            worker.proc.join = self._recorded("join", worker.proc.join)
+        super()._teardown()
+
+    def _recorded(self, name, call):
+        def recorded(*args, **kwargs):
+            self.events.append((name, args))
+            return call(*args, **kwargs)
+
+        return recorded
+
+
+def test_supervised_pool_hands_out_work_before_bookkeeping():
+    """A new worker holds a point before the next one forks; the worker
+    that delivered a point already holds the next ready one when
+    ``on_result`` (the journal append) runs; teardown queues every idle
+    worker's sentinel before it joins any worker."""
+    tasks = list(range(6))
+    pool = _RecordingPool(_worker_pid, jobs=2)
+    holding = []
+
+    def on_result(index, pid):
+        (worker,) = [
+            w for w in pool._workers.values() if w.proc.pid == pid
+        ]
+        holding.append(worker.assigned is not None)
+
+    pool.map(tasks, on_result=on_result)
+    spawns = [held for event, held in pool.events if event == "spawn"]
+    assert spawns == [[], [(0, 0)]]
+    # Until the last two points, a ready point is left to hand out.
+    assert holding == [True] * (len(tasks) - 2) + [False, False]
+    teardown = [(event, args) for event, args in pool.events
+                if event != "spawn"]
+    assert teardown[:2] == [("put", (None,)), ("put", (None,))]
+    assert {event for event, _ in teardown[2:]} == {"join"}
+
+
 def test_supervised_pool_leaves_no_children(monkeypatch):
     import multiprocessing
 

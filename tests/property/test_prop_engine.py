@@ -733,10 +733,36 @@ FAILING_CAS_ON_A_PARKED_LINE = {
 }
 
 
+#: A parked loop drains a store into its line, and another core
+#: evicts the line at its home slice (filling four lines of its set)
+#: and then reads it: the read downgrades the L1.5 line to SHARED and
+#: clean, and the un-parked core's replayed drain must not dirty it.
+DRAIN_INTO_A_DOWNGRADED_LINE = {
+    0: [[Instruction("set", rd=OWN, imm=OWN_BASE),
+         Instruction("add", rd=4, rs1=1, rs2=2),
+         Instruction("stx", rs1=1, rs2=OWN, imm=0),
+         Instruction("mulx", rd=4, rs1=2, rs2=3),
+         Instruction("bne", rs1=FOREVER, target=1)]],
+    2: [[Instruction("set", rd=COUNTER, imm=25),
+         Instruction("sdivx", rd=4, rs1=2, rs2=3),
+         Instruction("sub", rd=COUNTER, rs1=COUNTER, imm=1),
+         Instruction("bne", rs1=COUNTER, target=1),
+         *[instruction
+           for k in range(1, 5)
+           for instruction in (
+               Instruction("set", rd=OWN, imm=OWN_BASE + k * L2_STRIDE),
+               Instruction("ldx", rd=5, rs1=OWN, imm=0),
+           )],
+         Instruction("set", rd=OWN, imm=OWN_BASE),
+         Instruction("ldx", rd=5, rs1=OWN, imm=0)]],
+}
+
+
 @lockstep
 @given(fixed_point_workloads(foreign=True), settings_,
        st.integers(1500, 3000))
 @example(FAILING_CAS_ON_A_PARKED_LINE, (False, 4096), 3000)
+@example(DRAIN_INTO_A_DOWNGRADED_LINE, (False, 64), 2135)
 def test_foreign_touches_of_parked_loops_equal_lockstep(
     workload, setting, window
 ):
