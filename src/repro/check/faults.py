@@ -31,6 +31,7 @@ energy leak        ``gov_energy`` (ledger conservation)
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import time
@@ -449,20 +450,25 @@ def inject_job_journal_truncation(
 def inject_checkpoint_truncation(
     journal_dir: "Path | str", drop_bytes: int = 7, seed: int = 0
 ) -> FaultReport:
-    """Truncate the last checkpoint segment (a torn tail write).
+    """Truncate the entry of the checkpoint's last class in grid
+    order (a torn tail write).
 
     Models the one corruption the journal's atomic rename cannot rule
-    out: a filesystem that lost the tail of an already-renamed segment
+    out: a filesystem that lost the tail of an already-renamed entry
     (disk full, dirty shutdown before the data blocks flushed). The
-    journal's CRC framing must detect it on resume and re-simulate
-    only the damaged segment's timing class: the points it listed.
+    entry's CRC framing must make it absent on resume, so only its
+    timing class is re-simulated. The class order comes from the
+    checkpoint's ``meta.json``.
     """
     del seed  # deterministic target; kept for the injector signature
+    root = Path(journal_dir)
+    meta = root / "meta.json"
+    classes = json.loads(meta.read_text())["classes"] if meta.is_file() else {}
     return _truncate_last(
-        sorted(Path(journal_dir).glob("point-*.seg")),
+        [path for key in classes for path in root.glob(f"point/*/{key}.cas")],
         drop_bytes,
         "checkpoint_truncation",
-        f"no checkpoint segments under {journal_dir} to truncate "
+        f"no checkpoint entries under {journal_dir} to truncate "
         "(run a journaled grid first)",
     )
 

@@ -29,10 +29,10 @@ one representative per remaining group on a
 :class:`~repro.resilience.SupervisedPool` (in-process for
 ``jobs <= 1``; crashed and hung workers are retried), copies each
 outcome to its group's members, and journals each simulated group the
-moment it completes: one record under the group's batch key, listing
-the members it served. The measurement replay still walks the full
-grid in order, so resumed and batched results are bit-identical to
-serial ones.
+moment it completes: one entry under the group's batch key, which
+serves every point of its class on resume. The measurement replay
+still walks the full grid in order, so resumed and batched results
+are bit-identical to serial ones.
 
 The parent hashes each request template once (:mod:`repro.batch.key`);
 per point it reads the clock into the key and settles the die on
@@ -191,28 +191,27 @@ def batched_simulate(
 
     ``groups`` partitions the grid indices into timing classes (a
     :func:`~repro.batch.plan_batches` plan); ``None`` makes every
-    point its own group. Walking the groups in order, each member is
-    served from the journal (on resume) or the surrogate when
-    possible; the first still-missing member of each group is
-    simulated on a :class:`~repro.resilience.SupervisedPool` under the
-    supervision's retry/deadline policy, and its outcome is copied to
-    the group's other missing members.
+    point its own group. Each member is served from the journal when
+    possible, then the rest from the surrogate; the first
+    still-missing member of each group is simulated on a
+    :class:`~repro.resilience.SupervisedPool` under the supervision's
+    retry/deadline policy, and its outcome is copied to the group's
+    other missing members.
 
-    The journal keys every record by the group's batch key (with
+    The journal keys every entry by the group's batch key (with
     ``groups=None`` each point's own key is computed, only when a
-    journal is attached). A point is served on resume only when its
-    index is a member of a verified record under its own key, and
-    only when ``fidelity``'s tier accepts the outcome (no silent
-    surrogate reuse under ``--tier sim``; counted as
-    ``points_tier_rejected``). Points the journal serves one shared
+    journal is attached). A point is served when the entry under its
+    key verifies, and only when ``fidelity``'s tier accepts the
+    outcome (no silent surrogate reuse under ``--tier sim``; counted
+    as ``points_tier_rejected``). Points the journal serves one shared
     object get their own copies, as :func:`replicate_outcome` gives
-    them. Each simulated group is appended as one record the moment
-    it completes and each surrogate-served point as one record of its
-    own, so an interrupt loses only in-flight work. The journal is
-    retired once the consumer has received the final outcome; a
-    consumer that abandons the grid mid-way — an interrupt unwinding
-    through the measurement replay — leaves every completed record on
-    disk for ``--resume``.
+    them. Each simulated group is appended the moment it completes,
+    and the first of each group's surrogate-served points before any
+    simulation starts, so an interrupt loses only in-flight work. The
+    journal is retired once the consumer has received the final
+    outcome; a consumer that abandons the grid mid-way — an interrupt
+    unwinding through the measurement replay — leaves every completed
+    entry on disk for ``--resume``.
     """
     from repro.surrogate.dispatch import accepts_cached_outcome
 
@@ -234,46 +233,55 @@ def batched_simulate(
     #: members of a group from the journal, and the surrogate may
     #: have served others).
     todo: list[tuple[bytes, list[int]]] = []
-    # The last outcome served: a journal may hand the same object to
-    # consecutive points, also across groups (a CasJournal does for
-    # one timing class without batching).
+    #: Grid points per class key, for the journal's meta.
+    classes: dict[bytes, int] = {}
+    # The last outcome served: a journal hands the same object to
+    # consecutive points of one class, also across groups (an
+    # unbatched grid has one group per point).
     source = None
     for position, group in enumerate(members):
         key = keys[position].to_bytes() if journal is not None else b""
+        classes[key] = classes.get(key, 0) + len(group)
         missing: list[int] = []
         for index in group:
-            if journal is not None:
-                cached = journal.get(index, key)
-                if cached is not None and not accepts_cached_outcome(
-                    cached, fidelity
-                ):
-                    count("points_tier_rejected")
-                    cached = None
-                if cached is not None:
-                    outcomes[index] = (
-                        _member_copy(cached) if cached is source else cached
-                    )
-                    source = cached
-                    count("points_resumed")
-                    continue
-            predicted = (
-                fidelity.predict(requests[index])
-                if fidelity is not None
-                else None
-            )
-            if predicted is not None:
-                outcomes[index] = predicted
-                if journal is not None:
-                    journal.append(key, (index,), predicted)
+            cached = journal.get(index, key) if journal is not None else None
+            if cached is not None and not accepts_cached_outcome(
+                cached, fidelity
+            ):
+                count("points_tier_rejected")
+                cached = None
+            if cached is None:
+                missing.append(index)
                 continue
-            missing.append(index)
+            outcomes[index] = (
+                _member_copy(cached) if cached is source else cached
+            )
+            source = cached
+            count("points_resumed")
         if missing:
             todo.append((key, missing))
     if journal is not None:
         journal.write_meta(
             experiment_id=supervision.experiment_id,
             points_expected=len(requests),
+            classes=classes,
         )
+    if fidelity is not None:
+        # After every journal read: a point served here is journaled
+        # under its class key and must not come back as resumed.
+        for key, group in todo:
+            served = {
+                index: outcome
+                for index in group
+                if (outcome := fidelity.predict(requests[index])) is not None
+            }
+            if not served:
+                continue
+            outcomes.update(served)
+            group[:] = [index for index in group if index not in served]
+            if journal is not None:
+                journal.append(key, list(served), next(iter(served.values())))
+        todo = [entry for entry in todo if entry[1]]
 
     def on_result(todo_index: int, outcome: SimOutcome) -> None:
         key, group = todo[todo_index]

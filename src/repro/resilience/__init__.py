@@ -14,13 +14,13 @@ the failures long campaigns actually hit:
   so a single poisoned point slows the grid down instead of killing
   it;
 * **operator interrupts** — every completed
-  :class:`~repro.system.SimOutcome` is journaled to an append-only,
-  CRC-checked checkpoint (:class:`CheckpointJournal`; one atomic
-  temp-file+rename segment per simulated timing class, listing the
-  grid points it served), so SIGINT/SIGTERM
-  (:func:`resumable_signals`) checkpoints, tears the pool down
-  cleanly, and exits with :data:`EXIT_RESUMABLE`; ``repro run <exp>
-  --resume`` then skips the already-simulated points.
+  :class:`~repro.system.SimOutcome` is journaled to a CRC-checked
+  checkpoint (:class:`CheckpointJournal`: a
+  :class:`~repro.resilience.store.ResultCache` holding one atomically
+  written entry per simulated timing class, under its batch key), so
+  SIGINT/SIGTERM (:func:`resumable_signals`) checkpoints, tears the
+  pool down cleanly, and exits with :data:`EXIT_RESUMABLE`; ``repro
+  run <exp> --resume`` then skips the already-simulated points.
 
 Every grid and every ``ctl_*`` scenario fan-out runs on
 :class:`SupervisedPool` (in-process for serial runs), and

@@ -2,9 +2,11 @@
 
 The package splits along the daemon's three concerns:
 
-* :mod:`repro.serve.cas`    — the content-addressed result store and
-  the :class:`~repro.serve.cas.CasJournal` adapter that lets the
-  grid executor read/write it per timing class;
+* :mod:`repro.serve.cas`    — the service's result store (a
+  :class:`~repro.resilience.store.ResultCache`, the store run
+  checkpoints use too) and :class:`~repro.serve.cas.CasJournal`, the
+  checkpoint journal view that lets the grid executor read and write
+  it per timing class;
 * :mod:`repro.serve.jobs`   — job manifests and live telemetry-event
   capture for ``GET /v1/jobs/<id>``;
 * :mod:`repro.serve.http`   — the minimal stdlib HTTP/1.1 layer;

@@ -14,8 +14,8 @@ moment it is simulated), so a recovered sweep re-simulates only the
 missing tail — the service-level twin of ``repro run --resume``.
 
 Records are :func:`repro.util.io.frame` records written with
-:func:`repro.util.io.atomic_write_bytes`, like checkpoint segments
-and cache entries, and get the same defensive read: a record whose
+:func:`repro.util.io.atomic_write_bytes`, like result-store entries,
+and get the same defensive read: a record whose
 magic, length, or CRC32 fails verification is quarantined (renamed
 ``*.damaged``) and never replayed — a torn journal record must cost
 one lost job, not a crashed recovery loop.

@@ -16,11 +16,11 @@ fallback the experiment pool uses as a last resort is disabled here:
 a job that exhausts its budget fails with a 500, it does not get one
 free shot at crashing the daemon.
 
-Workers are non-daemonic so a served sweep can fan out its own inner
-pool (``jobs > 1``), and live tracer events are forwarded across the
-process boundary (``forward_events``) so ``GET /v1/jobs/<id>?stream=1``
-streams telemetry out of the isolated child exactly as it did from a
-thread.
+The pool's ``isolate`` mode also makes workers non-daemonic, so a
+served sweep can fan out its own inner pool (``jobs > 1``), and
+forwards live tracer events across the process boundary, so
+``GET /v1/jobs/<id>?stream=1`` streams telemetry out of the isolated
+child exactly as it did from a thread.
 
 The task function :func:`_service_task_main` is module-level (it must
 pickle) and rebuilds everything it needs — tracer, CAS handle,
@@ -168,9 +168,6 @@ class WorkerTier:
             ),
             tracer=supervisor,
             isolate=True,
-            daemon=False,
-            forward_events=True,
-            in_process_fallback=False,
         )
         results = pool.map(
             [task],

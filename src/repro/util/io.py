@@ -1,20 +1,20 @@
 """Durable records: one frame codec and one atomic writer.
 
-Every file the tooling persists — checkpoint segments, job records,
-result-cache entries, ``run --json --out`` documents, golden
-snapshots, surrogate profiles, checkpoint metadata — goes through
-:func:`atomic_write_bytes`: the content lands in a same-directory
-``.tmp-*`` file, is flushed and fsynced, ``os.replace``\\ d over the
-destination, and the directory entry is fsynced. An interrupt
-(Ctrl-C, SIGKILL, power loss) at any instant leaves either the
-complete old file or the complete new one, plus at worst a stray
-temp file that :func:`sweep_temp_files` removes. A temp file's name
-carries its writer's pid (``.tmp-<pid>-...``), so a store shared by
-live writers can tell a crashed write's orphan from a write in flight
-(:func:`orphaned_temp`).
+Every file the tooling persists — result-store entries (checkpoints
+and the service's cache), job records, ``run --json --out``
+documents, golden snapshots, surrogate profiles, checkpoint
+metadata — goes through :func:`atomic_write_bytes`: the content
+lands in a same-directory ``.tmp-*`` file, is flushed and fsynced,
+``os.replace``\\ d over the destination, and the directory entry is
+fsynced. An interrupt (Ctrl-C, SIGKILL, power loss) at any instant
+leaves either the complete old file or the complete new one, plus at
+worst a stray temp file that :func:`sweep_temp_files` removes. A temp
+file's name carries its writer's pid (``.tmp-<pid>-...``), so a store
+shared by live writers can tell a crashed write's orphan from a write
+in flight (:func:`orphaned_temp`).
 
-The three binary record kinds share one frame (:func:`frame` /
-:func:`unframe`)::
+The two binary record kinds, store entries and job records, share
+one frame (:func:`frame` / :func:`unframe`)::
 
     magic | >IQ (crc32, payload length) | kind header | payload
 

@@ -4,9 +4,9 @@
 the layers above :mod:`repro.batch`: a registry experiment's full
 result document is identical with batching on and off (and across
 worker pools), and a checkpoint journal written by one mode resumes
-cleanly under the other. The journal keeps one record per simulated
+cleanly under the other. The journal keeps one entry per simulated
 timing class, keyed by its batch key, so a batched grid writes one
-segment per group and an unbatched grid one per point.
+entry per group and an unbatched grid one per point.
 """
 
 from __future__ import annotations
@@ -174,8 +174,7 @@ def test_one_class_grid_journals_one_segment(tmp_path):
     requests = _requests(ONE_CLASS)
     assert plan_batches(requests).n_groups == 1
     _interrupted_run(requests, tmp_path / "j", batch=True)
-    segments = sorted(p.name for p in (tmp_path / "j").glob("point-*.seg"))
-    assert segments == ["point-000000.seg"]
+    assert len(list((tmp_path / "j").glob("point/*/*.cas"))) == 1
     status = journal_status(tmp_path / "j")
     assert (status.points, status.points_expected) == (12, 12)
     assert status.damaged == []
@@ -186,11 +185,12 @@ def test_truncated_group_segment_resimulates_its_members(tmp_path):
     requests = _requests(POINTS[:5], 800) + _requests(POINTS[:3], 600)
     baseline = list(parallel_simulate(requests, batch=False))
     _interrupted_run(requests, tmp_path / "j", batch=True)
-    segments = sorted(p.name for p in (tmp_path / "j").glob("point-*.seg"))
-    assert segments == ["point-000000.seg", "point-000005.seg"]
+    keys = [g.key.to_bytes().hex() for g in plan_batches(requests).groups]
+    entries = sorted(p.stem for p in (tmp_path / "j").glob("point/*/*.cas"))
+    assert entries == sorted(keys)
 
     report = inject_checkpoint_truncation(tmp_path / "j")
-    assert "point-000005.seg" in report.detail
+    assert f"{keys[1]}.cas" in report.detail
     resumed, counters = _resume(requests, tmp_path / "j", batch=True)
     _assert_same_outcomes(resumed, baseline)
     assert counters["points_resumed"] == len(requests) - 3

@@ -24,6 +24,7 @@ from repro.check.faults import (
     WORKER_FAULT_ENV,
     inject_checkpoint_truncation,
 )
+from repro.experiments import RunContext
 from repro.experiments.parallel import parallel_simulate
 from repro.obs.trace import Tracer
 from repro.resilience import (
@@ -33,8 +34,10 @@ from repro.resilience import (
     RetryPolicy,
     SupervisedPool,
     Supervision,
+    journal_status,
 )
 from repro.silicon.variation import CHIP3
+from repro.sweepspec import SweepSpec, run_sweepspec
 from repro.system import PitonSystem
 from repro.workloads.microbench import hist_workload, microbench_core_ids
 
@@ -160,8 +163,9 @@ def test_stale_grid_journal_never_leaks(tmp_path):
     requests = _grid_requests()
     outcomes = list(parallel_simulate(_grid_requests(), jobs=1))
     journal = CheckpointJournal(tmp_path / "grid")
-    # Journal point 0 under the *wrong* key (another point's class).
-    journal.append(_key(requests[-1]), (0,), outcomes[-1])
+    # Journal point 0 under the key of a point of another grid shape.
+    stale = _grid_requests(len(requests) + 1)[-1]
+    journal.append(_key(stale), (0,), outcomes[-1])
 
     tracer = Tracer()
     resumed = _ledgers(
@@ -186,6 +190,7 @@ def test_truncated_tail_resimulates_only_damaged_point(tmp_path):
     # Journal the full grid, as a run interrupted during its final
     # measurement replay would have (all simulated, none delivered).
     journal = CheckpointJournal(tmp_path / "grid")
+    journal.write_meta(classes={_key(request): 1 for request in requests})
     for index, outcome in enumerate(
         parallel_simulate(_grid_requests(), jobs=1)
     ):
@@ -220,9 +225,66 @@ def test_abandoned_grid_keeps_journal(tmp_path):
     next(outcomes)
     outcomes.close()  # a consumer unwinding mid-measurement
     assert (tmp_path / "grid").exists()
-    assert len(list((tmp_path / "grid").glob("point-*.seg"))) == len(
+    assert len(list((tmp_path / "grid").glob("point/*/*.cas"))) == len(
         requests
     )
+
+
+class _Stop(Exception):
+    """Stands in for an interrupt once the journal holds enough entries."""
+
+
+@pytest.mark.parametrize("vdds", [(1.0,), (0.9, 1.0)])
+def test_status_and_resume_agree(tmp_path, vdds):
+    # A batched mem_dram grid: one timing class per clock, holding
+    # every VDD at that clock.
+    spec = SweepSpec(
+        workload="mem_dram",
+        personas=("chip2",),
+        vdd=vdds,
+        freq_mhz=(300.0, 400.0, 500.0, 600.0),
+        quick=True,
+    )
+    ctx = RunContext(quick=True)
+    clean = run_sweepspec(spec, ctx).records
+
+    path = tmp_path / spec.experiment_id
+    journal = CheckpointJournal(path)
+    append = journal.append
+
+    def append_then_stop(*args):
+        append(*args)
+        if journal.cache.entry_count("point") == 3:
+            raise _Stop
+
+    journal.append = append_then_stop
+    with pytest.raises(_Stop):
+        run_sweepspec(spec, ctx, supervision=Supervision(journal=journal))
+    inject_checkpoint_truncation(path)
+    status = journal_status(path)
+    assert len(status.damaged) == 1
+    assert (status.points, status.points_expected) == (
+        2 * len(vdds),
+        spec.n_points,
+    )
+
+    tracer = Tracer()
+    resumed = run_sweepspec(
+        spec,
+        ctx,
+        supervision=Supervision(
+            journal=CheckpointJournal(path, resume=True), tracer=tracer
+        ),
+    )
+    assert resumed.records == clean
+    counters = tracer.resilience
+    assert counters["points_resumed"] == status.points
+    # The rest of the grid was simulated, by a class's representative
+    # or as its copy.
+    simulated = counters["points_simulated"] + counters.get(
+        "batch_points_replicated", 0
+    )
+    assert counters["points_resumed"] + simulated == spec.n_points
 
 
 # -------------------------------------------------- pool teardown hygiene
@@ -369,7 +431,7 @@ def test_cli_sigint_then_resume_bit_identical(tmp_path):
     # lands mid-grid however fast the host runs the 42-point grid (a
     # fixed one-second sleep let a quick grid finish first).
     deadline = time.monotonic() + 60
-    while proc.poll() is None and not list(ckpt.glob("point-*.seg")):
+    while proc.poll() is None and not list(ckpt.glob("point/*/*.cas")):
         assert time.monotonic() < deadline, "no point was ever journaled"
         time.sleep(0.005)
     proc.send_signal(signal.SIGINT)
@@ -377,7 +439,7 @@ def test_cli_sigint_then_resume_bit_identical(tmp_path):
     if code == 0:  # the grid won the race; nothing to resume
         pytest.skip("run finished before SIGINT landed")
     assert code == EXIT_RESUMABLE, proc.stdout.read()
-    assert ckpt.is_dir() and list(ckpt.glob("point-*.seg"))
+    assert ckpt.is_dir() and list(ckpt.glob("point/*/*.cas"))
 
     resumed_proc = _repro(
         run + ["--out", "resumed.json", "--resume"], cwd=tmp_path

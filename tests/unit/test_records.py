@@ -1,10 +1,11 @@
-"""The three durable record kinds read damaged records as absent.
+"""The durable record kinds read damaged records as absent.
 
-Checkpoint segments, job records and result-cache entries share one
-frame (``repro.util.io.frame``). For one record of each kind, every
-one-bit flip and every truncation of its file must make the store
-treat the record as absent, and the bytes on disk must match the
-layout rebuilt here by hand with ``struct`` and ``zlib``.
+Job records and result-store entries share one frame
+(``repro.util.io.frame``), and a run checkpoint is a result store.
+For one record of each kind, every one-bit flip and every truncation
+of its file must make the store treat the record as absent, and the
+bytes on disk must match the layout rebuilt here by hand with
+``struct`` and ``zlib``.
 """
 
 from __future__ import annotations
@@ -17,16 +18,15 @@ import zlib
 
 import pytest
 
-from repro.resilience.checkpoint import CheckpointJournal
+from repro.resilience.checkpoint import CheckpointJournal, journal_status
 from repro.serve.cas import ResultCache
 from repro.serve.journal import JobJournal
 
 OUTCOME = {"cycles": 1234, "tier": "sim"}
 #: A 32-byte key, as ``BatchKey.to_bytes`` and the service use.
 DIGEST = hashlib.sha256(b"records").digest()
-#: The grid points one timing-class segment serves.
+#: The grid points one timing class serves.
 MEMBERS = (0, 3, 5)
-SEGMENT = "point-000000.seg"
 
 
 def _variants(blob: bytes):
@@ -45,16 +45,15 @@ def _framed(magic: bytes, payload: bytes, header: bytes = b"") -> bytes:
 
 
 # ------------------------------------------------------------------ layout
-def test_segment_layout(tmp_path):
-    seg = CheckpointJournal(tmp_path).append(DIGEST, MEMBERS, OUTCOME)
-    # Header: the class key and the member count; payload: the members
-    # then the pickled outcome. The CRC covers all of it.
-    header = DIGEST + struct.pack(">I", len(MEMBERS))
-    payload = struct.pack(">3I", *MEMBERS) + pickle.dumps(
-        OUTCOME, protocol=pickle.HIGHEST_PROTOCOL
-    )
-    assert seg.name == SEGMENT  # named after its first member
-    assert seg.read_bytes() == _framed(b"RJRN3\0", payload, header)
+def test_checkpoint_entry_layout(tmp_path):
+    path = CheckpointJournal(tmp_path).append(DIGEST, MEMBERS, OUTCOME)
+    # A result-store entry under the class key: the tier header, then
+    # the pickled outcome. The CRC covers both.
+    header = struct.pack(">Bd", 0, 0.0)
+    payload = pickle.dumps(OUTCOME, protocol=pickle.HIGHEST_PROTOCOL)
+    key = DIGEST.hex()
+    assert path == tmp_path / "point" / key[:2] / f"{key}.cas"
+    assert path.read_bytes() == _framed(b"RCAS2\0", payload, header)
 
 
 def test_job_record_layout_is_unchanged(tmp_path):
@@ -99,20 +98,21 @@ def test_hand_framed_job_record_recovers(tmp_path):
     ]
 
 
-def test_older_segment_reads_as_damaged(tmp_path):
+def test_older_segment_is_never_served(tmp_path):
     payload = pickle.dumps(OUTCOME, protocol=pickle.HIGHEST_PROTOCOL)
-    # One record per point under its request digest: RJRN2 framed it
-    # as today's frame does, RJRN1 left the digest out of the CRC.
-    (tmp_path / SEGMENT).write_bytes(_framed(b"RJRN2\0", payload, DIGEST))
-    crc = zlib.crc32(payload)
+    # The segments checkpoints were before they became store entries:
+    # RJRN3 one per class with its member list, RJRN2 one per point.
+    members = struct.pack(">3I", *MEMBERS)
+    header = DIGEST + struct.pack(">I", len(MEMBERS))
+    (tmp_path / "point-000000.seg").write_bytes(
+        _framed(b"RJRN3\0", members + payload, header)
+    )
     (tmp_path / "point-000001.seg").write_bytes(
-        b"RJRN1\0" + struct.pack(">IQ32s", crc, len(payload), DIGEST)
-        + payload
+        _framed(b"RJRN2\0", payload, DIGEST)
     )
     journal = CheckpointJournal(tmp_path, resume=True)
-    assert journal.damaged == [SEGMENT, "point-000001.seg"]
-    assert journal.get(0, DIGEST) is None
-    assert journal.get(1, DIGEST) is None
+    assert all(journal.get(i, DIGEST) is None for i in range(6))
+    assert journal_status(tmp_path).points == 0
 
 
 def test_older_cache_entry_is_a_miss(tmp_path):
@@ -127,13 +127,13 @@ def test_older_cache_entry_is_a_miss(tmp_path):
 
 
 # ------------------------------------------------------------------ damage
-def test_every_damaged_segment_is_absent(tmp_path):
-    seg = CheckpointJournal(tmp_path).append(DIGEST, MEMBERS, OUTCOME)
+def test_every_damaged_checkpoint_entry_is_absent(tmp_path):
+    path = CheckpointJournal(tmp_path).append(DIGEST, MEMBERS, OUTCOME)
     served = []
-    for blob in _variants(seg.read_bytes()):
-        seg.write_bytes(blob)
+    for blob in _variants(path.read_bytes()):
+        path.write_bytes(blob)
         journal = CheckpointJournal(tmp_path, resume=True)
-        if journal.damaged != [SEGMENT] or any(
+        if journal_status(tmp_path).damaged != [path.name] or any(
             journal.get(i, DIGEST) is not None for i in range(6)
         ):
             served.append(blob)

@@ -25,11 +25,11 @@ from repro.resilience import (
     GridInterrupted,
     RetryPolicy,
     backoff_schedule,
-    checkpoint,
     derive_deadline,
     journal_status,
     resumable_signals,
 )
+from repro.resilience.store import ResultCache
 from repro.util.io import atomic_write_bytes, atomic_write_text
 
 
@@ -87,8 +87,8 @@ def test_journal_roundtrip(tmp_path, outcome_payload):
     journal = CheckpointJournal(tmp_path / "j")
     key = _key(("req", 0))
     journal.append(key, (3,), outcome_payload)
-    assert 3 in journal and len(journal) == 1
     assert journal.get(3, key) == outcome_payload
+    assert journal.cache.entry_count("point") == 1
 
 
 def test_journal_digest_mismatch_is_a_miss(tmp_path, outcome_payload):
@@ -104,23 +104,25 @@ def test_journal_fresh_open_resets(tmp_path, outcome_payload):
     path = tmp_path / "j"
     CheckpointJournal(path).append(_key("x"), (0,), outcome_payload)
     fresh = CheckpointJournal(path, resume=False)
-    assert len(fresh) == 0
-    assert not list(path.glob("point-*.seg"))
+    assert fresh.get(0, _key("x")) is None
+    assert fresh.cache.entry_count() == 0
 
 
 def test_journal_detects_truncated_segment(tmp_path, outcome_payload):
     path = tmp_path / "j"
     journal = CheckpointJournal(path)
     keys = [_key(("req", i)) for i in range(3)]
+    journal.write_meta(classes={key: 1 for key in keys})
     for i, key in enumerate(keys):
         journal.append(key, (i,), outcome_payload)
 
     report = inject_checkpoint_truncation(path, drop_bytes=5)
-    assert "point-000002.seg" in report.detail
+    damaged = f"{keys[2].hex()}.cas"
+    assert damaged in report.detail
 
     resumed = CheckpointJournal(path, resume=True)
     # Only the damaged tail is absent; intact points still serve.
-    assert resumed.damaged == ["point-000002.seg"]
+    assert journal_status(path).damaged == [damaged]
     assert resumed.get(0, keys[0]) == outcome_payload
     assert resumed.get(1, keys[1]) == outcome_payload
     assert resumed.get(2, keys[2]) is None
@@ -130,12 +132,12 @@ def test_journal_detects_corruption_after_scan(tmp_path, outcome_payload):
     path = tmp_path / "j"
     journal = CheckpointJournal(path)
     key = _key("req")
-    seg = journal.append(key, (0,), outcome_payload)
-    blob = bytearray(seg.read_bytes())
+    entry = journal.append(key, (0,), outcome_payload)
+    blob = bytearray(entry.read_bytes())
     blob[-1] ^= 0xFF  # flip a payload bit under the CRC
-    seg.write_bytes(bytes(blob))
+    entry.write_bytes(bytes(blob))
     assert journal.get(0, key) is None  # CRC re-check on read
-    assert journal.damaged == ["point-000000.seg"]
+    assert journal_status(path).damaged == [entry.name]
 
 
 def test_journal_complete_removes_directory(tmp_path, outcome_payload):
@@ -148,17 +150,28 @@ def test_journal_complete_removes_directory(tmp_path, outcome_payload):
 
 
 def test_journal_sweeps_stale_temp_files(tmp_path):
+    # A write a crash cut short leaves a temp file beside the entries.
+    # Nothing reads it, and a completed or a fresh run deletes it.
     path = tmp_path / "j"
-    path.mkdir()
-    (path / ".tmp-stale").write_bytes(b"half a segment")
-    CheckpointJournal(path, resume=True)
-    assert not (path / ".tmp-stale").exists()
+    stale = path / "point" / "ab" / ".tmp-stale"
+    stale.parent.mkdir(parents=True)
+    stale.write_bytes(b"half an entry")
+    CheckpointJournal(path, resume=True).complete()
+    assert not stale.exists()
+    stale.parent.mkdir(parents=True)
+    stale.write_bytes(b"half an entry")
+    CheckpointJournal(path)
+    assert not stale.exists()
 
 
 def test_journal_status_reports_counts(tmp_path, outcome_payload):
     path = tmp_path / "j"
     journal = CheckpointJournal(path)
-    journal.write_meta(experiment_id="fig13", points_expected=5)
+    journal.write_meta(
+        experiment_id="fig13",
+        points_expected=5,
+        classes={_key(i): 1 for i in range(5)},
+    )
     for i in range(2):
         journal.append(_key(i), (i,), outcome_payload)
     status = journal_status(path)
@@ -174,26 +187,26 @@ def test_journal_status_reports_counts(tmp_path, outcome_payload):
 def test_journal_status_counts_group_members(tmp_path, outcome_payload):
     path = tmp_path / "j"
     journal = CheckpointJournal(path)
-    journal.write_meta(experiment_id="sweep-int", points_expected=12)
+    classes = {_key("class A"): 4, _key("class B"): 2, _key("class C"): 6}
+    journal.write_meta(
+        experiment_id="sweep-int", points_expected=12, classes=classes
+    )
     journal.append(_key("class A"), (0, 2, 4, 6), outcome_payload)
     journal.append(_key("class B"), (1, 3), outcome_payload)
     status = journal_status(path)
-    assert len(list(path.glob("point-*.seg"))) == 2
+    assert journal.cache.entry_count("point") == 2
     assert (status.points, status.points_expected) == (6, 12)
     assert status.damaged == [] and status.complete is False
 
 
-def test_journal_serves_only_listed_members(tmp_path, outcome_payload):
+def test_journal_serves_every_point_of_a_class(tmp_path, outcome_payload):
     path = tmp_path / "j"
     key = _key("class")
     CheckpointJournal(path).append(key, (0, 2, 5), outcome_payload)
     resumed = CheckpointJournal(path, resume=True)
-    assert sorted(i for i in range(8) if i in resumed) == [0, 2, 5]
-    # An index outside the member list is not served, even under the
-    # record's own key.
-    assert [resumed.get(i, key) is not None for i in range(8)] == [
-        True, False, True, False, False, True, False, False
-    ]
+    # The key alone fixes the outcome, so the entry serves every point
+    # of its class, not only the ones it was first written for.
+    assert [resumed.get(i, key) for i in range(8)] == [outcome_payload] * 8
     assert resumed.get(2, _key("other class")) is None
 
 
@@ -205,14 +218,15 @@ def test_journal_reads_a_group_record_once(
     CheckpointJournal(path).append(key, (0, 1, 2, 3), outcome_payload)
     resumed = CheckpointJournal(path, resume=True)
     reads = []
-    original = checkpoint._read_segment
+    original = ResultCache.get
     monkeypatch.setattr(
-        checkpoint,
-        "_read_segment",
-        lambda seg: reads.append(seg.name) or original(seg),
+        ResultCache,
+        "get",
+        lambda cache, namespace, k: reads.append(k)
+        or original(cache, namespace, k),
     )
     served = [resumed.get(i, key) for i in range(4)]
-    assert reads == ["point-000000.seg"]
+    assert reads == [key]
     assert all(outcome == outcome_payload for outcome in served)
 
 
@@ -335,7 +349,7 @@ def test_worker_fault_malformed_spec_raises(monkeypatch):
 
 
 def test_checkpoint_truncation_requires_segments(tmp_path):
-    with pytest.raises(RuntimeError, match="no checkpoint segments"):
+    with pytest.raises(RuntimeError, match="no checkpoint entries"):
         inject_checkpoint_truncation(tmp_path)
 
 
