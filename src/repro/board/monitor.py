@@ -87,22 +87,18 @@ class MeasurementProtocol:
         )
 
     def measure(
-        self,
-        power_source: PowerSource,
-        voltages: dict[str, float],
-        start_time_s: float = 0.0,
+        self, power_source: PowerSource, voltages: dict[str, float]
     ) -> RailMeasurement:
         """Record the standard 128 samples and reduce them.
 
-        ``power_source`` is sampled at the monitor poll instants, so
-        real power fluctuations (phases, refresh) land in the error bar
-        exactly as they would on the bench.
+        ``power_source`` is sampled at the monitor poll instants from
+        t = 0, so real power fluctuations (phases, refresh) land in the
+        error bar exactly as they would on the bench.
         """
         true_w = np.array([[
             (p.vdd_w, p.vcs_w, p.vio_w)
             for p in (
-                power_source(start_time_s + k / self.poll_hz)
-                for k in range(self.samples)
+                power_source(k / self.poll_hz) for k in range(self.samples)
             )
         ]])
         return self._sample(true_w, self._volts([voltages]))[0]

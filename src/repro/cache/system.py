@@ -44,7 +44,7 @@ from repro.cache.addressing import AddressMap
 from repro.cache.cdr import CdrRegistry
 from repro.cache.coherence import CoherenceError, DirectoryEntry, MesiState
 from repro.cache.l2 import L2Slice, RecallAction
-from repro.cache.latency import MemoryLatencyModel, default_latency_model
+from repro.cache.latency import default_latency_model
 from repro.cache.setassoc import SetAssocCache
 from repro.noc.mitts import MittsShaper
 from repro.util.events import EventLedger
@@ -104,7 +104,6 @@ class CoherentMemorySystem:
         config: PitonConfig | None = None,
         ledger: EventLedger | None = None,
         address_map: AddressMap | None = None,
-        latency_model: MemoryLatencyModel | None = None,
         offchip: Callable[[int, bool, int], int] | None = None,
         cdr: CdrRegistry | None = None,
     ):
@@ -112,7 +111,7 @@ class CoherentMemorySystem:
         self.ledger = ledger if ledger is not None else EventLedger()
         self.floorplan = Floorplan(self.config)
         self.address_map = address_map or AddressMap(self.config)
-        self.latency = latency_model or default_latency_model(self.config)
+        self.latency = default_latency_model(self.config)
         self.offchip = offchip or fixed_offchip_model()
         #: Optional Coherence Domain Restriction registry; None means
         #: one unrestricted domain (the paper's configuration).

@@ -20,7 +20,8 @@ package turns that bookkeeping into an oracle:
 * :mod:`repro.check.golden` — the ``repro verify`` differential
   harness: quick-mode JSON snapshots of every registered experiment
   are committed under ``tests/goldens/`` and live runs are diffed
-  against them with per-metric tolerances.
+  against them with per-metric tolerances, and against the paper's
+  published numbers in :mod:`repro.check.anchors`.
 """
 
 from repro.check.faults import (

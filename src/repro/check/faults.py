@@ -201,31 +201,25 @@ def inject_duplicated_flit(
     return FaultReport("duplicated_flit", f"duplicated a flit in {name}")
 
 
-def inject_stalled_router(
-    mesh: "MeshNetwork",
-    tile: int | None = None,
-    stall_cycles: int = 1 << 30,
-    seed: int = 0,
-) -> FaultReport:
-    """Wedge one router: every input port stalls for ``stall_cycles``.
+def inject_stalled_router(mesh: "MeshNetwork", seed: int = 0) -> FaultReport:
+    """Wedge one router: every input port stalls for 2**30 cycles.
 
-    When ``tile`` is not given, picks (seeded) a router that currently
-    buffers flits — stalling an idle router off the traffic path would
-    be a no-op no checker could (or should) flag.
+    Picks (seeded) a router that currently buffers flits — stalling an
+    idle router off the traffic path would be a no-op no checker could
+    (or should) flag.
     """
-    if tile is None:
-        occupied = sorted(
-            r.tile_id
-            for r in mesh.routers
-            if any(ip.queue for ip in r.inputs.values())
+    occupied = sorted(
+        r.tile_id
+        for r in mesh.routers
+        if any(ip.queue for ip in r.inputs.values())
+    )
+    if not occupied:
+        raise RuntimeError(
+            "no router holds flits to stall (inject traffic first)"
         )
-        if not occupied:
-            raise RuntimeError(
-                "no router holds flits to stall (inject traffic first)"
-            )
-        tile = _rng(seed).choice(occupied)
+    tile = _rng(seed).choice(occupied)
     router = mesh.routers[tile]
-    until = mesh.now + stall_cycles
+    until = mesh.now + (1 << 30)
     for ip in router.inputs.values():
         ip.stall_until = until
     return FaultReport(
@@ -236,11 +230,9 @@ def inject_stalled_router(
 
 # ------------------------------------------------------------------ dram
 def inject_dram_timeout(
-    memsys: "CoherentMemorySystem",
-    latency_cycles: int = 10_000_000,
-    seed: int = 0,
+    memsys: "CoherentMemorySystem", seed: int = 0
 ) -> FaultReport:
-    """Make every off-chip access hang for ``latency_cycles``.
+    """Make every off-chip access hang for 10,000,000 cycles.
 
     Wraps the memory system's off-chip model; the wrapped model still
     runs (so channel state stays consistent) but the reported latency
@@ -248,6 +240,7 @@ def inject_dram_timeout(
     """
     del seed  # uniform fault; kept for the common injector signature
     original = memsys.offchip
+    latency_cycles = 10_000_000
 
     def timed_out(line_addr: int, write: bool = False, now: int = 0) -> int:
         original(line_addr, write, now)

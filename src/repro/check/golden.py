@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from repro.check.anchors import AnchorCheck, check_document
+
 #: src/repro/check/golden.py -> repository root.
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 
@@ -29,10 +31,6 @@ DEFAULT_GOLDEN_DIR = _REPO_ROOT / "tests" / "goldens"
 #: these only absorb libm/platform float noise.
 DEFAULT_REL_TOL = 1e-6
 DEFAULT_ABS_TOL = 1e-9
-
-#: Per-experiment relative-tolerance overrides (id -> rel tol), for
-#: experiments whose metrics amplify float noise (none currently).
-REL_TOL_OVERRIDES: dict[str, float] = {}
 
 #: Cap on reported diffs per experiment; the rest are summarized.
 MAX_DIFFS = 20
@@ -165,6 +163,8 @@ class VerifyOutcome:
     status: str  # "pass" | "fail" | "missing" | "updated"
     diffs: list[str] = field(default_factory=list)
     wall_s: float = 0.0
+    #: The paper-anchor rows checked on the live run.
+    anchors: list[AnchorCheck] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -176,6 +176,7 @@ class VerifyOutcome:
             "status": self.status,
             "diffs": list(self.diffs),
             "wall_s": self.wall_s,
+            "anchors": [c.to_dict() for c in self.anchors],
         }
 
 
@@ -241,8 +242,10 @@ def verify_experiments(
 ) -> VerifyReport:
     """Diff live quick runs against goldens (or refresh the goldens).
 
-    ``rel_tol=None`` uses the default tolerance with per-experiment
-    overrides from :data:`REL_TOL_OVERRIDES`.
+    Every live run is also checked against its rows of the paper-anchor
+    table (:mod:`repro.check.anchors`): a row out of tolerance fails
+    the experiment, and ``update`` then leaves its golden unwritten.
+    ``rel_tol=None`` uses :data:`DEFAULT_REL_TOL`.
     """
     import time
 
@@ -271,19 +274,23 @@ def verify_experiments(
             fidelity=fidelity,
             profile_dir=profile_dir,
         )
-        if update:
+        anchors = check_document(live)
+        diffs = [
+            f"anchor {c.name} ({c.source}): {c.measured_value:.6g} {c.unit} "
+            f"is {100 * c.deviation:+.1f}% from the paper's "
+            f"{c.paper_value:g}, outside {100 * c.tolerance:.1f}%"
+            for c in anchors
+            if not c.within_tolerance
+        ]
+        if update and not diffs:
             write_golden(eid, live, goldens_dir)
             outcome = VerifyOutcome(eid, "updated")
         else:
-            tol = (
-                rel_tol
-                if rel_tol is not None
-                else REL_TOL_OVERRIDES.get(eid, DEFAULT_REL_TOL)
-            )
-            diffs = diff_documents(golden, live, rel_tol=tol)
-            outcome = VerifyOutcome(
-                eid, "pass" if not diffs else "fail", diffs
-            )
+            if not update:
+                tol = DEFAULT_REL_TOL if rel_tol is None else rel_tol
+                diffs = diff_documents(golden, live, rel_tol=tol) + diffs
+            outcome = VerifyOutcome(eid, "fail" if diffs else "pass", diffs)
+        outcome.anchors = anchors
         outcome.wall_s = time.perf_counter() - start
         report.outcomes.append(outcome)
     return report

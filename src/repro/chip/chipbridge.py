@@ -83,16 +83,17 @@ class ChipBridge:
                 best, best_err = BridgePattern(flits, period), err
         return best
 
-    def transfer_flits(self, flits: int, payload_activity: float = 0.5) -> None:
+    def transfer_flits(self, flits: int) -> None:
         """Account pad energy for moving ``flits`` NoC flits off/on chip.
 
         Each 64-bit flit serializes into two 32-bit beats on the VIO
-        pads; the framing overhead adds proportional extra beats.
+        pads, at the switching activity of random data; the framing
+        overhead adds proportional extra beats.
         """
         if flits < 0:
             raise ValueError("flit count must be non-negative")
         beats = flits * (self.config.noc.flit_bits // 32)
         overhead = beats * (1.0 / FRAMING_EFFICIENCY - 1.0)
-        self.ledger.record("io.beat", beats, activity=payload_activity)
+        self.ledger.record("io.beat", beats, activity=0.5)
         self.ledger.record("io.beat", overhead, activity=0.25)
         self.ledger.record("chipbridge.flit", flits)

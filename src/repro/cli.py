@@ -13,9 +13,10 @@ Subcommands mirror what a user of the real bench would do:
   ASCII chart (line chart over its numeric series); shares the run
   path with ``run``, so ``--quick``/``--jobs`` apply here too
 * ``verify [experiments...]``   — golden-run differential harness:
-  re-run experiments in quick mode and diff their JSON documents
-  against the snapshots committed under ``tests/goldens/``
-  (``--update`` regenerates them); exits 1 on any drift
+  re-run experiments in quick mode, diff their JSON documents
+  against the snapshots committed under ``tests/goldens/`` and check
+  them against the paper-anchor table (``--update`` regenerates the
+  snapshots, but not one whose anchors miss); exits 1 on any drift
 * ``status [experiments...]``   — checkpoint completeness of
   interrupted campaigns (what ``run --resume`` would pick up)
 * ``calibrate [workloads...]``  — fit surrogate profiles from
@@ -263,6 +264,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.check import verify_experiments
+    from repro.check.anchors import render_report
 
     experiment_ids = args.experiments or sorted(EXPERIMENTS)
     unknown = [e for e in experiment_ids if e not in EXPERIMENTS]
@@ -287,6 +289,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
               f"[{outcome.wall_s:.1f}s]")
         for diff in outcome.diffs:
             print(f"         {diff}")
+    anchors = [c for o in report.outcomes for c in o.anchors]
+    if anchors:
+        print(render_report(anchors))
     if args.report:
         atomic_write_text(
             args.report,
@@ -308,7 +313,7 @@ def cmd_status(args: argparse.Namespace) -> int:
         print(f"unknown experiment(s): {unknown}", file=sys.stderr)
         return 2
     if args.json:
-        from repro.serve.status import status_document
+        from repro.resilience import status_document
 
         cas_stats = None
         if Path(args.cas_dir).is_dir():
@@ -730,10 +735,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify",
         help="diff live quick runs against the committed goldens",
-        description="Re-run experiments in quick mode and diff their "
+        description="Re-run experiments in quick mode, diff their "
         "JSON documents against the golden snapshots under "
-        "tests/goldens/ with per-metric tolerances. Exit status 1 on "
-        "any drift.",
+        "tests/goldens/ with per-metric tolerances, and check each "
+        "against its rows of the paper-anchor table. Exit status 1 on "
+        "any drift or any row out of tolerance.",
     )
     verify.add_argument(
         "experiments",
@@ -744,7 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--update",
         action="store_true",
-        help="regenerate the golden snapshots instead of diffing",
+        help="regenerate the golden snapshots instead of diffing "
+        "(none whose paper anchors are out of tolerance)",
     )
     verify.add_argument(
         "--goldens",

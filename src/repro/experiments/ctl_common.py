@@ -63,6 +63,7 @@ def run_specs(
     return traces
 
 
-def decimate(values: list[float], every: int = 17) -> list[float]:
-    """Thin a per-tick series for result documents (default 1 Hz)."""
-    return list(values[::every])
+def decimate(values: list[float]) -> list[float]:
+    """Thin a per-tick series to 1 Hz for result documents (one sample
+    in 17)."""
+    return list(values[::17])

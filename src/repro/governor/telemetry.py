@@ -33,10 +33,10 @@ class PowerTelemetry:
     #: Readings whose noise one generator call draws.
     BLOCK = 256
 
-    def __init__(self, seed: int, shunt: SenseResistor | None = None):
+    def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
         vmon = VoltageMonitor(self._rng)
-        imon = CurrentSenseChannel(shunt or SenseResistor(), self._rng)
+        imon = CurrentSenseChannel(SenseResistor(), self._rng)
         self._sigmas = [m.noise_sigma_v for m in (vmon, imon.high, imon.low)]
         self._lsb_v, self._lsb_i = vmon.lsb_v, imon.high.lsb_v
         self._ohms = imon.resistor.ohms

@@ -27,7 +27,6 @@ from repro.power.epf import energy_per_flit
 from repro.power.epi import energy_per_instruction
 from repro.power.fitting import fit_fmax, fit_static_idle
 from repro.power.report import PowerReport
-from repro.power.validation import render_report, validate_anchors
 from repro.power.vf_curve import VfCurve
 
 __all__ = [
@@ -43,6 +42,4 @@ __all__ = [
     "fit_fmax",
     "fit_static_idle",
     "PowerReport",
-    "render_report",
-    "validate_anchors",
 ]

@@ -30,9 +30,11 @@ point, and measurements always replay serially in grid order.
 """
 
 from repro.resilience.checkpoint import (
+    STATUS_SCHEMA_VERSION,
     CheckpointJournal,
     JournalStatus,
     journal_status,
+    status_document,
 )
 from repro.resilience.policy import (
     RetryPolicy,
@@ -53,10 +55,12 @@ __all__ = [
     "JournalStatus",
     "PointFailure",
     "RetryPolicy",
+    "STATUS_SCHEMA_VERSION",
     "SupervisedPool",
     "Supervision",
     "backoff_schedule",
     "derive_deadline",
     "journal_status",
     "resumable_signals",
+    "status_document",
 ]

@@ -28,7 +28,7 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.resilience.store import CacheEntry, ResultCache
 from repro.util.io import atomic_write_text
@@ -178,3 +178,43 @@ def journal_status(path: Path | str) -> JournalStatus:
         if cache.get("point", key) is not None
     )
     return status
+
+
+#: Version of the status document that ``repro status --json`` and the
+#: daemon's ``GET /v1/status`` share.
+STATUS_SCHEMA_VERSION = 3
+
+
+def status_document(
+    checkpoint_dir: str | Path,
+    experiment_ids: Iterable[str] | None = None,
+    jobs: Iterable[Mapping[str, object]] | None = None,
+    cas: Mapping[str, object] | None = None,
+    service: Mapping[str, object] | None = None,
+) -> dict[str, object]:
+    """The status document: checkpoint completeness per experiment (what
+    ``run --resume`` would pick up), plus the daemon's facts.
+
+    ``repro status --json`` and ``GET /v1/status`` both emit it, so a
+    script can poll either. ``experiment_ids=None`` covers every
+    registered experiment; ``jobs`` is the daemon's job-manifest dicts
+    (the CLI, having no daemon, reports an empty list); ``cas`` is
+    :meth:`~repro.resilience.store.ResultCache.stats` output (the CLI
+    builds it from disk, the daemon from its live handle — identical
+    shape either way); ``service`` is the daemon's admission/drain
+    section, ``None`` from the CLI.
+    """
+    from repro.experiments import EXPERIMENTS
+
+    root = Path(checkpoint_dir)
+    ids = list(experiment_ids) if experiment_ids else sorted(EXPERIMENTS)
+    return {
+        "schema_version": STATUS_SCHEMA_VERSION,
+        "checkpoint_dir": str(root),
+        "experiments": {
+            eid: journal_status(root / eid).to_dict() for eid in ids
+        },
+        "jobs": list(jobs) if jobs is not None else [],
+        "cas": dict(cas) if cas is not None else None,
+        "service": dict(service) if service is not None else None,
+    }

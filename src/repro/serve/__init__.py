@@ -16,11 +16,14 @@ The package splits along the daemon's three concerns:
 * :mod:`repro.serve.workers` — the process-isolated execution tier
   (supervised worker processes with heartbeats/deadlines/retries);
 * :mod:`repro.serve.journal` — the durable job journal recovery
-  replays after a crash;
-* :mod:`repro.serve.status` — the status document shared with
-  ``repro status --json``.
+  replays after a crash.
+
+``GET /v1/status`` serves the document ``repro status --json``
+prints: :func:`repro.resilience.status_document`, re-exported here
+with its ``STATUS_SCHEMA_VERSION``.
 """
 
+from repro.resilience import STATUS_SCHEMA_VERSION, status_document
 from repro.serve.cas import (
     DEFAULT_CAS_DIR,
     CacheEntry,
@@ -34,7 +37,6 @@ from repro.serve.journal import (
     JobJournal,
     JobRecord,
 )
-from repro.serve.status import STATUS_SCHEMA_VERSION, status_document
 from repro.serve.workers import WorkerTier
 
 __all__ = [

@@ -57,6 +57,7 @@ from pathlib import Path
 
 from repro.experiments import EXPERIMENTS
 from repro.experiments.context import DEFAULT_CHECKPOINT_DIR
+from repro.resilience import status_document
 from repro.resilience.signals import EXIT_RESUMABLE
 from repro.serve.cas import DEFAULT_CAS_DIR, ResultCache
 from repro.serve.http import (
@@ -72,7 +73,6 @@ from repro.serve.http import (
 )
 from repro.serve.jobs import Job, JobRegistry
 from repro.serve.journal import DEFAULT_JOBS_DIR, JobJournal, JobRecord
-from repro.serve.status import status_document
 from repro.serve.workers import WorkerTier
 from repro.sweepspec import SpecError, SweepSpec
 

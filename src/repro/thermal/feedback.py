@@ -39,11 +39,12 @@ class PowerTemperatureSimulator:
         #: RC network so every settle/step is bounds-checked.
         self.network.checker = checker
 
-    def settle(self, power_fn: PowerFunction, max_iter: int = 200) -> float:
-        """Find the steady operating point of the feedback loop and set
-        the network state there; returns the die temperature."""
+    def settle(self, power_fn: PowerFunction) -> float:
+        """Find the steady operating point of the feedback loop (within
+        200 damped iterations) and set the network state there; returns
+        the die temperature."""
         temp = self.network.ambient_c
-        for _ in range(max_iter):
+        for _ in range(200):
             power = power_fn(temp, 0.0)
             steady = self.network.steady_state(power)
             if abs(steady[0] - temp) < 0.005:

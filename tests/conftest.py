@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.arch.params import PitonConfig
+from repro.check.anchors import check_document
+from repro.check.golden import result_document
 from repro.experiments import RunContext, get_experiment
 from repro.system import PitonSystem
 from repro.util.events import EventLedger
@@ -51,3 +53,21 @@ def quick_result():
         return results[experiment_id]
 
     return run
+
+
+@pytest.fixture(scope="session")
+def missed_anchors():
+    """``missed_anchors(result, *names)``: the named rows of the
+    paper-anchor table (every row of the result's experiment when none
+    is named) that ``result`` misses. Each name must be a row."""
+
+    def missed(result, *names: str):
+        checks = check_document(result_document(result))
+        assert set(names) <= {c.name for c in checks}, names
+        return [
+            c
+            for c in checks
+            if (not names or c.name in names) and not c.within_tolerance
+        ]
+
+    return missed

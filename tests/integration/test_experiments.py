@@ -44,8 +44,7 @@ class TestFig8Shape:
     def test_core_dominates_tile(self):
         result = get_experiment("fig8")(RunContext(quick=True))
         rows = {(r[0], r[1]): r[2] for r in result.rows}
-        assert rows[("tile", "core")] == 47.00
-        assert rows[("tile", "l2_cache")] == 22.16
+        # The core and L2 shares are anchor rows (repro.check.anchors).
         # NoC routers are a small fraction: the area context for the
         # paper's "NoC energy is small" claim.
         noc_total = sum(
@@ -89,14 +88,9 @@ class TestFig10Shape:
         core_dyn = result.series["core_dynamic_mw"]
         assert all(s < 0.15 * c for s, c in zip(sram_dyn, core_dyn))
 
-    def test_table5_anchors(self):
+    def test_table5_anchors(self, missed_anchors):
         result = get_experiment("fig10")(RunContext(quick=True))
-        assert result.series["table5_static_mw"][0] == pytest.approx(
-            389.3, rel=0.02
-        )
-        assert result.series["table5_idle_mw"][0] == pytest.approx(
-            2015.3, rel=0.02
-        )
+        assert missed_anchors(result) == []
 
 
 class TestFig15Shape:
@@ -104,7 +98,6 @@ class TestFig15Shape:
         result = get_experiment("fig15")(RunContext(quick=True))
         total = result.series["total_cycles"][0]
         simulated = result.series["simulated_cycles"][0]
-        assert total == 395
         assert simulated == pytest.approx(total, rel=0.15)
 
     def test_gateway_dominates_offchip(self):
@@ -157,27 +150,16 @@ class TestFig18Shape:
 class TestTable8Shape:
     def test_derived_latencies(self):
         result = get_experiment("table8")(RunContext(quick=True))
-        assert result.series["piton_memory_latency_ns"][0] == (
-            pytest.approx(848, rel=0.02)
-        )
-        local, remote = result.series["piton_l2_latency_ns"]
-        assert local == pytest.approx(68, rel=0.05)
+        # The model's own remote L2 latency; the anchor table holds the
+        # published 108 ns.
+        remote = result.series["piton_l2_latency_ns"][1]
         assert remote == pytest.approx(104, rel=0.08)
 
 
 class TestTable9Shape:
-    def test_times_and_power(self):
+    def test_times_and_power(self, missed_anchors):
         result = get_experiment("table9")(RunContext(quick=True))
-        by_name = result.row_dict()
-        for name, ref in result.paper_reference.items():
-            row = by_name[name]
-            assert row[2] == pytest.approx(ref["piton_min"], rel=0.02)
-            assert row[3] == pytest.approx(ref["slowdown"], rel=0.02)
-            assert row[4] == pytest.approx(ref["power_w"], rel=0.03)
-            # 8%: Table IX's own perlbench-diffmail row is internally
-            # inconsistent (2.141 W x 184.37 min = 23.68 kJ, printed
-            # 22.32 kJ); we reproduce power x time exactly.
-            assert row[5] == pytest.approx(ref["energy_kj"], rel=0.08)
+        assert missed_anchors(result) == []
 
     def test_hmmer_highest_power(self):
         result = get_experiment("table9")(RunContext(quick=True))

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.check.anchors import ANCHORS
 from repro.check.golden import (
     DEFAULT_GOLDEN_DIR,
     diff_documents,
@@ -113,6 +114,13 @@ class TestVerifyHarness:
         assert doc["schema_version"] == 1
         assert doc["ok"] is True
         json.dumps(doc)  # must be JSON-clean
+        # Every checked paper-anchor row, with its numbers.
+        anchors = doc["results"][0]["anchors"]
+        assert [a["name"] for a in anchors] == [
+            a.name for a in ANCHORS if a.name.startswith("table4/")
+        ]
+        for key in ("measured_value", "paper_value", "deviation", "tolerance"):
+            assert all(isinstance(a[key], float) for a in anchors), key
 
     def test_cli_verify_exit_codes(self, tmp_path, capsys):
         from repro.cli import main

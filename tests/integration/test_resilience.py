@@ -392,6 +392,25 @@ def test_supervised_pool_leaves_no_children(monkeypatch):
 
 
 # ------------------------------------------------------------ CLI circuit
+def test_status_json_loads_no_service(tmp_path):
+    """``repro status --json`` builds its document without the daemon."""
+    code = (
+        "import sys; from repro import cli; "
+        "cli.main(['status', '--json']); "
+        "assert 'repro.serve.daemon' not in sys.modules"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["jobs"] == []
+
+
 def _repro(args, cwd, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")

@@ -16,8 +16,7 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.serve import SimulationService
-from repro.serve.status import status_document
+from repro.serve import SimulationService, status_document
 from repro.sweepspec import SWEEPSPEC_SCHEMA_VERSION, SweepSpec
 
 pytestmark = pytest.mark.slow

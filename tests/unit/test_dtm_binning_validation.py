@@ -1,11 +1,11 @@
-"""Unit tests for DTM governors, speed binning, and the calibration
-validator."""
+"""Unit tests for DTM governors, speed binning, and the paper-anchor
+report."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.power.validation import AnchorCheck, render_report
+from repro.check.anchors import AnchorCheck, render_report
 from repro.silicon.binning import (
     DEFAULT_BINS,
     BinningReport,
@@ -149,14 +149,3 @@ class TestValidationReport:
         text = render_report(checks)
         assert "1/2 within" in text
         assert "OUT OF TOLERANCE" in text
-
-    @pytest.mark.slow
-    def test_validate_anchors_quick(self):
-        from repro.power.validation import validate_anchors
-
-        checks = validate_anchors(quick=True)
-        names = {c.name for c in checks}
-        assert "table5.static_mw" in names
-        assert "fig11.ldx_random_pj" in names
-        failing = [c.name for c in checks if not c.within_tolerance]
-        assert failing == []
