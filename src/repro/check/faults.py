@@ -65,8 +65,8 @@ GOVERNOR_FAULT_KINDS = (
 #: Execution-layer faults the resilience stack must absorb (as opposed
 #: to the simulator-bookkeeping faults above, which the checkers must
 #: *detect*) that :func:`arm_worker_fault` arms: via environment, so
-#: they reach pool workers in any process tree — including ``repro``
-#: invoked from a shell or CI.
+#: they reach supervisors in any process tree — including ``repro``
+#: invoked from a shell or CI — which send them to their workers.
 WORKER_FAULT_KINDS = ("worker_crash", "worker_hang")
 
 #: ``kind:point`` — e.g. ``worker_crash:0`` crashes whichever worker
@@ -257,12 +257,14 @@ def inject_dram_timeout(
 def arm_worker_fault(kind: str, point: int = 0) -> None:
     """Arm one execution-layer fault for the next supervised grid.
 
-    The arming travels through :data:`WORKER_FAULT_ENV`, so it reaches
-    every pool worker forked afterwards (and workers of a ``repro``
-    subprocess started with the variable exported). The fault fires on
-    the *first attempt* of the chosen grid point only — retries of the
-    point run clean, which is exactly the transient-failure shape the
-    supervisor exists to absorb.
+    The arming travels through :data:`WORKER_FAULT_ENV`. A supervised
+    pool reads it when each ``map`` begins and sends it with every
+    point, so it reaches that grid's workers, those forked before the
+    arming included (and the grids of a ``repro`` subprocess started
+    with the variable exported). The fault fires on the *first
+    attempt* of the chosen grid point only — retries of the point run
+    clean, which is exactly the transient-failure shape the supervisor
+    exists to absorb.
     """
     if kind not in WORKER_FAULT_KINDS:
         raise ValueError(
@@ -297,9 +299,14 @@ def active_worker_fault() -> tuple[str, int] | None:
     return kind, point
 
 
-def trigger_worker_fault(index: int, attempt: int) -> None:
-    """Fire the armed worker fault, if this is its target attempt.
+def trigger_worker_fault(
+    fault: tuple[str, int] | None, index: int, attempt: int
+) -> None:
+    """Fire ``fault``, if this is its target attempt.
 
+    ``fault`` is the :func:`active_worker_fault` value the supervisor
+    read when its ``map`` began and sent with the point; a worker never
+    reads its own environment, which is its parent's as of the fork.
     Called by the supervised pool's worker loop just before a point
     simulates; the parent process (and the in-process serial fallback)
     never calls it, so worker faults are worker-level by construction.
@@ -307,7 +314,6 @@ def trigger_worker_fault(index: int, attempt: int) -> None:
     does — abruptly, with no Python-level cleanup; ``worker_hang``
     wedges until the supervisor's deadline terminates it.
     """
-    fault = active_worker_fault()
     if fault is None:
         return
     kind, point = fault

@@ -4,9 +4,10 @@ Each ctl experiment is a small set of :class:`ScenarioSpec` arms run
 through one entry point, :func:`run_specs`, which provides the three
 guarantees the acceptance tests pin:
 
-* **jobs-identity** — arms fan across the same
-  :class:`~repro.resilience.SupervisedPool` every grid uses, under
-  ``--retries``/``--deadline`` (specs are frozen values,
+* **jobs-identity** — arms fan across a process-wide
+  :class:`~repro.resilience.SupervisedPool`, drawn from
+  :func:`~repro.experiments.parallel.shared_pool` as every grid's
+  is, under ``--retries``/``--deadline`` (specs are frozen values,
   ``run_scenario`` is module-level, telemetry is seeded per spec), so
   ``--jobs 2`` reproduces serial traces bit for bit;
 * **checks-identity** — ``--checks`` audits the finished traces in the
@@ -20,9 +21,10 @@ guarantees the acceptance tests pin:
 from __future__ import annotations
 
 from repro.experiments.context import RunContext
+from repro.experiments.parallel import shared_pool
 from repro.governor.controller import GovernedTrace
 from repro.governor.scenarios import ScenarioSpec, run_scenario
-from repro.resilience import RetryPolicy, SupervisedPool
+from repro.resilience import RetryPolicy
 from repro.silicon.variation import PERSONAS
 
 
@@ -43,12 +45,11 @@ def run_specs(
     ctx: RunContext, specs: list[ScenarioSpec]
 ) -> list[GovernedTrace]:
     """Run every arm, audit if asked, and count governor telemetry."""
-    traces = SupervisedPool(
-        run_scenario,
-        jobs=ctx.jobs,
+    traces = shared_pool(run_scenario, ctx.jobs).map(
+        specs,
         policy=RetryPolicy(retries=ctx.retries, deadline_s=ctx.deadline_s),
         tracer=ctx.trace,
-    ).map(specs)
+    )
     if ctx.checks:
         from repro.check import CheckSuite
 

@@ -34,6 +34,12 @@ serves every point of its class on resume. The measurement replay
 still walks the full grid in order, so resumed and batched results
 are bit-identical to serial ones.
 
+The pool is :func:`shared_pool`'s, one per process, task function and
+job count: its workers fork at the first pooled grid and serve every
+later one, until :func:`close_shared_pools` or interpreter exit. A
+grid whose ``map`` an exception or interrupt unwinds still takes the
+workers down with it, and the next grid forks afresh.
+
 The parent hashes each request template once (:mod:`repro.batch.key`);
 per point it reads the clock into the key and settles the die on
 floats, and a sweep grid reads every point's 128 samples in one array
@@ -42,8 +48,9 @@ pass per measurement.
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.batch import BatchGroup, plan_batches
 from repro.batch.key import batch_keys
@@ -54,6 +61,34 @@ from repro.util.events import EventLedger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.surrogate.dispatch import FidelityPolicy
+
+
+#: :func:`shared_pool`'s pools by task function and job count. A
+#: forked child starts with none: its parent's workers are not its
+#: children, so it never drives or closes them.
+_POOLS: dict[tuple[Callable, int], SupervisedPool] = {}
+os.register_at_fork(after_in_child=_POOLS.clear)
+
+
+def shared_pool(fn: Callable, jobs: int) -> SupervisedPool:
+    """This process's pool for ``fn`` on ``jobs`` workers.
+
+    Its workers fork at its first pooled ``map`` and wait between
+    grids, each of which passes its own policy and tracer to ``map``.
+    They end at :func:`close_shared_pools` or at interpreter exit,
+    where ``multiprocessing`` terminates and joins daemonic children.
+    """
+    key = (fn, max(1, jobs))
+    # setdefault: a pool forks nothing until its first map, so one
+    # made by a racing thread and dropped here costs nothing.
+    return _POOLS.get(key) or _POOLS.setdefault(key, SupervisedPool(*key))
+
+
+def close_shared_pools() -> None:
+    """Close every pool :func:`shared_pool` made in this process."""
+    for pool in _POOLS.values():
+        pool.close()
+    _POOLS.clear()
 
 
 def parallel_simulate(
@@ -291,15 +326,11 @@ def batched_simulate(
         if journal is not None:
             journal.append(key, group, outcome)
 
-    pool = SupervisedPool(
-        _simulate_stripped,
-        jobs=jobs,
-        policy=supervision.policy,
-        tracer=supervision.tracer,
-    )
-    pool.map(
+    shared_pool(_simulate_stripped, jobs).map(
         [requests[group[0]] for _, group in todo],
         on_result=on_result,
+        policy=supervision.policy,
+        tracer=supervision.tracer,
     )
 
     def emit() -> Iterator[SimOutcome]:

@@ -5,9 +5,10 @@ independent simulation points. This package makes those grids survive
 the failures long campaigns actually hit:
 
 * **worker crashes and hangs** — :class:`SupervisedPool` replaces the
-  bare ``multiprocessing.Pool`` fan-out with per-worker task queues,
-  start-of-point heartbeats, and a per-point deadline derived from the
-  wall times of already-completed points (:func:`derive_deadline`);
+  bare ``multiprocessing.Pool`` fan-out with per-worker task queues
+  and result pipes, start-of-point heartbeats, and a per-point
+  deadline derived from the wall times of already-completed points
+  (:func:`derive_deadline`);
 * **transient failures** — failed or timed-out points are retried
   with exponential backoff (:func:`backoff_schedule`) under a bounded
   attempt budget, and degrade to one final in-process serial attempt
@@ -27,6 +28,15 @@ Every grid and every ``ctl_*`` scenario fan-out runs on
 supervision never changes results — the simulator is a pure function
 of its request, so a retried point is bit-identical to a first-try
 point, and measurements always replay serially in grid order.
+
+A pool's workers outlive the grid that forked them: between grids
+they wait on their task queues, and the next ``map`` hands them its
+points under its own policy and tracer. They end at
+:meth:`SupervisedPool.close` (or the end of a ``with`` block), when an
+exception or interrupt unwinds through ``map``, or with the process
+that drives them. Grids and ``ctl_*`` arms draw one process-wide pool
+per task function and job count
+(:func:`repro.experiments.parallel.shared_pool`).
 """
 
 from repro.resilience.checkpoint import (

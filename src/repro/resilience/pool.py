@@ -9,6 +9,9 @@ small supervisor the parent process runs itself:
   always knows exactly which point a worker holds — a worker found
   dead implicates one specific point, never "somewhere in the shared
   queue";
+* each worker also reports on a **result pipe of its own**: a worker
+  that dies mid-message tears only its own pipe, which is dropped with
+  it, and no lock it held can stall another worker's messages;
 * workers send a **heartbeat** the moment they begin a point; the
   supervisor measures the point's age from that heartbeat against the
   :class:`~repro.resilience.policy.RetryPolicy` deadline (pinned via
@@ -25,6 +28,14 @@ small supervisor the parent process runs itself:
   completes*, which is where the checkpoint journal appends — an
   interrupt at any moment loses only in-flight points.
 
+Workers outlive a completed :meth:`SupervisedPool.map`: they fork at
+the first pooled ``map`` and then wait on their task queues for the
+next one, until :meth:`SupervisedPool.close`, the end of a ``with``
+block, an exception or interrupt unwinding through ``map``, or the
+death of the process that drives them. A ``map`` brings its own retry
+policy and tracer, and the worker fault armed when it begins travels
+with each of its points.
+
 Retries are invisible in results by construction: the simulator is a
 pure function of its request, so attempt N is bit-identical to attempt
 0. They are visible only as counters on the run manifest
@@ -35,19 +46,19 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_mod
 import signal
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Sequence
 
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.resilience.checkpoint import CheckpointJournal
 from repro.resilience.policy import RetryPolicy
 
-#: How long the supervisor blocks on the result queue per loop pass.
+#: How long the supervisor blocks on the result pipes per loop pass.
 _POLL_S = 0.05
 #: Grace period between SIGTERM and SIGKILL for a hung worker.
 _TERM_GRACE_S = 0.5
@@ -78,13 +89,18 @@ class Supervision:
 
 
 def _worker_main(
-    worker_id: int,
     fn: Callable[[object], object],
     task_q: "multiprocessing.Queue",
-    result_q: "multiprocessing.Queue",
+    results: Connection,
     forward_events: bool = False,
 ) -> None:
     """Worker loop: heartbeat, run, report; repeat until sentinel.
+
+    Each task message is ``(index, attempt, payload, fault)``, and each
+    report on ``results`` is ``(kind, index, attempt, body)``. The
+    worker fault the supervisor read when its ``map`` began rides with
+    every point (see :func:`~repro.check.faults.trigger_worker_fault`),
+    so a fault armed after this worker forked still reaches it.
 
     SIGINT is ignored (Ctrl-C lands on the whole foreground process
     group; teardown is the supervisor's decision, delivered as
@@ -94,7 +110,7 @@ def _worker_main(
     With ``forward_events`` the task function is called as
     ``fn(payload, emit)``; anything it passes to ``emit`` (small
     JSON-able dicts, in practice tracer events) is relayed to the
-    supervisor as an ``("event", ...)`` message while the point is
+    supervisor as an ``"event"`` message while the point is
     still running — this is how the serve tier streams live telemetry
     out of an isolated worker process.
 
@@ -113,31 +129,26 @@ def _worker_main(
         item = task_q.get()
         if item is None:
             return
-        index, attempt, payload = item
-        result_q.put(("start", worker_id, index, attempt, time.time()))
+        index, attempt, payload, fault = item
+        results.send(("start", index, attempt, None))
         try:
-            trigger_worker_fault(index, attempt)
+            trigger_worker_fault(fault, index, attempt)
             if forward_events:
 
                 def emit(event: object, _i=index, _a=attempt) -> None:
-                    result_q.put(("event", worker_id, _i, _a, event))
+                    results.send(("event", _i, _a, event))
 
                 result = fn(payload, emit)
             else:
                 result = fn(payload)
         except BaseException:
-            result_q.put(
-                ("error", worker_id, index, attempt, traceback.format_exc())
-            )
+            results.send(("error", index, attempt, traceback.format_exc()))
         else:
-            result_q.put(("done", worker_id, index, attempt, result))
+            results.send(("done", index, attempt, result))
 
 
 def _exit_with_parent() -> None:
     """Wait on the parent process's sentinel; exit when it dies."""
-    # Imported here: only worker processes need it.
-    from multiprocessing.connection import wait
-
     parent = multiprocessing.parent_process()
     if parent is None:
         return
@@ -151,6 +162,8 @@ class _Worker:
 
     proc: multiprocessing.Process
     task_q: "multiprocessing.Queue"
+    #: The read end of the worker's result pipe, closed once it hangs up.
+    results: Connection
     #: (index, attempt) the worker currently holds, or None when idle.
     assigned: tuple[int, int] | None = None
     #: When the task was handed over, then refined by its heartbeat.
@@ -168,14 +181,20 @@ class _Worker:
 
 
 class SupervisedPool:
-    """Run ``fn`` over tasks on supervised workers; results in order."""
+    """Run ``fn`` over tasks on supervised workers; results in order.
+
+    The workers a pooled :meth:`map` forks wait for the next ``map``
+    once it returns. :meth:`close` (or leaving a ``with`` block)
+    dismisses them, as does an exception or interrupt unwinding
+    through ``map``. Only the process that made the pool drives it,
+    and its ``map`` calls never overlap: a second thread's ``map``
+    waits for the first to return.
+    """
 
     def __init__(
         self,
         fn: Callable[[object], object],
         jobs: int,
-        policy: RetryPolicy | None = None,
-        tracer: Tracer | None = None,
         *,
         isolate: bool = False,
     ):
@@ -190,13 +209,14 @@ class SupervisedPool:
         """
         self.fn = fn
         self.jobs = max(1, jobs)
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.isolate = isolate
+        self._lock = threading.Lock()
         self._next_worker_id = 0
         self._workers: dict[int, _Worker] = {}
-        self._result_q: "multiprocessing.Queue | None" = None
         # Per-map state (set up by map(), used by the loop phases).
+        self._policy = RetryPolicy()
+        self._tracer = NULL_TRACER
+        self._fault: tuple[str, int] | None = None
         self._tasks: Sequence[object] = ()
         self._results: dict[int, object] = {}
         self._pending: list[tuple[float, int, int]] = []
@@ -204,12 +224,21 @@ class SupervisedPool:
         self._on_result: Callable[[int, object], None] | None = None
         self._on_event: Callable[[int, object], None] | None = None
 
+    def __enter__(self) -> "SupervisedPool":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     # -------------------------------------------------------------------- map
     def map(
         self,
         tasks: Sequence[object],
         on_result: Callable[[int, object], None] | None = None,
         on_event: Callable[[int, object], None] | None = None,
+        *,
+        policy: RetryPolicy = RetryPolicy(),
+        tracer: Tracer = NULL_TRACER,
     ) -> list[object]:
         """``[fn(t) for t in tasks]`` on supervised workers.
 
@@ -220,6 +249,11 @@ class SupervisedPool:
         emits, while it is still running — events from an attempt that
         is later retried are forwarded too, so consumers see honest
         per-attempt telemetry, not a deduplicated fiction.
+
+        ``policy`` and ``tracer`` are this grid's: its deadline and
+        retry budget, and where its counters land. The worker fault
+        armed now (:func:`~repro.check.faults.active_worker_fault`) is
+        sent with each of its points.
         """
         if not tasks:
             return []
@@ -227,51 +261,70 @@ class SupervisedPool:
             results = []
             for index, task in enumerate(tasks):
                 result = self.fn(task)
-                self.tracer.count("points_simulated")
+                tracer.count("points_simulated")
                 if on_result is not None:
                     on_result(index, result)
                 results.append(result)
             return results
 
-        self._tasks = tasks
-        self._results = {}
-        #: (ready_at, point index, attempt number) awaiting a worker.
-        self._pending = [(0.0, index, 0) for index in range(len(tasks))]
-        self._durations = []
-        self._on_result = on_result
-        self._on_event = on_event
-        self._result_q = multiprocessing.Queue()
-        try:
-            self._maintain_strength()
-            while len(self._results) < len(tasks):
-                self._assign_ready()
-                self._drain_results()
+        from repro.check.faults import active_worker_fault
+
+        with self._lock:
+            self._policy = policy
+            self._tracer = tracer
+            self._fault = active_worker_fault()
+            self._tasks = tasks
+            self._results = {}
+            #: (ready_at, point index, attempt number) awaiting a worker.
+            self._pending = [(0.0, index, 0) for index in range(len(tasks))]
+            self._durations = []
+            self._on_result = on_result
+            self._on_event = on_event
+            try:
+                # Workers that died idle since the last map held no
+                # point: they are replaced, and nothing is counted.
                 self._reap_crashes()
-                self._enforce_deadline()
                 self._maintain_strength()
-            return [self._results[i] for i in range(len(tasks))]
-        finally:
+                while len(self._results) < len(tasks):
+                    self._assign_ready()
+                    self._drain_results()
+                    self._reap_crashes()
+                    self._enforce_deadline()
+                    self._maintain_strength()
+                return [self._results[i] for i in range(len(tasks))]
+            except BaseException:
+                self._teardown()
+                raise
+            finally:
+                # The pool outlives the grid; it keeps no reference to it.
+                self._tasks = ()
+                self._results = {}
+                self._on_result = self._on_event = None
+
+    def close(self) -> None:
+        """Dismiss every worker; a later :meth:`map` forks afresh."""
+        with self._lock:
             self._teardown()
 
     # ---------------------------------------------------------------- workers
     def _spawn_worker(self) -> None:
         task_q: "multiprocessing.Queue" = multiprocessing.Queue()
+        results, sender = multiprocessing.Pipe(duplex=False)
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         proc = multiprocessing.Process(
             target=_worker_main,
-            args=(
-                worker_id,
-                self.fn,
-                task_q,
-                self._result_q,
-                self.isolate,
-            ),
+            args=(self.fn, task_q, sender, self.isolate),
             daemon=not self.isolate,
             name=f"repro-supervised-{worker_id}",
         )
         proc.start()
-        self._workers[worker_id] = _Worker(proc=proc, task_q=task_q)
+        # The worker holds the only write end, so its death hangs up
+        # the pipe.
+        sender.close()
+        self._workers[worker_id] = _Worker(
+            proc=proc, task_q=task_q, results=results
+        )
 
     def _dismiss_worker(self, worker_id: int, kill: bool = False) -> None:
         worker = self._workers.pop(worker_id)
@@ -283,6 +336,7 @@ class SupervisedPool:
         worker.proc.join()
         worker.task_q.close()
         worker.task_q.cancel_join_thread()
+        worker.results.close()
 
     def _maintain_strength(self) -> None:
         """Keep one worker per outstanding point, capped at ``jobs``;
@@ -293,13 +347,14 @@ class SupervisedPool:
             self._assign_ready()
 
     def _teardown(self) -> None:
-        """Terminate and join every worker; drop the queues.
+        """Terminate and join every worker; drop their queues and pipes.
 
         Every idle worker gets its sentinel before any is joined, so
-        they exit side by side; busy ones are terminated. Runs on
-        success, on grid failure, and on interrupt — the regression
-        the bare-``Pool`` path had (leaked workers after a
-        ``KeyboardInterrupt`` mid-``map``) cannot recur by design.
+        they exit side by side; busy ones are terminated. Runs from
+        :meth:`close`, and from :meth:`map` when an exception or
+        interrupt unwinds through it — the regression the bare-``Pool``
+        path had (leaked workers after a ``KeyboardInterrupt``
+        mid-``map``) cannot recur by design.
         """
         idle = [
             worker
@@ -315,10 +370,6 @@ class SupervisedPool:
             worker.proc.join(_TERM_GRACE_S)
         for worker_id in list(self._workers):
             self._dismiss_worker(worker_id, kill=True)
-        if self._result_q is not None:
-            self._result_q.close()
-            self._result_q.cancel_join_thread()
-            self._result_q = None
 
     # ------------------------------------------------------------ loop phases
     def _assign_ready(self) -> None:
@@ -333,49 +384,59 @@ class SupervisedPool:
             worker.assigned = (index, attempt)
             worker.assigned_at = time.monotonic()
             worker.started_at = None
-            worker.task_q.put((index, attempt, self._tasks[index]))
+            worker.task_q.put(
+                (index, attempt, self._tasks[index], self._fault)
+            )
 
     def _drain_results(self) -> None:
-        """Handle every queued worker message; block briefly for one."""
+        """Handle every message the workers have sent; block briefly
+        for one.
+
+        A worker reports only on the point it holds, and a dismissed
+        worker's pipe is closed with it, so no message outlives the
+        point it names.
+        """
         timeout = _POLL_S
         while True:
-            try:
-                msg = self._result_q.get(timeout=timeout)
-            except queue_mod.Empty:
+            workers = {
+                worker.results: worker
+                for worker in self._workers.values()
+                if not worker.results.closed
+            }
+            ready = wait(list(workers), timeout)
+            if not ready:
                 return
             timeout = 0.0  # drain the rest without blocking
-            kind, worker_id, index, attempt, body = msg
-            worker = self._workers.get(worker_id)
-            held = worker is not None and worker.assigned == (
-                index,
-                attempt,
-            )
-            if kind == "start":
-                if held:
+            for pipe in ready:
+                worker = workers[pipe]
+                try:
+                    kind, index, attempt, body = pipe.recv()
+                except (EOFError, OSError):
+                    # The worker died, perhaps mid-message;
+                    # _reap_crashes accounts for its point.
+                    pipe.close()
+                    continue
+                if kind == "start":
                     worker.started_at = time.monotonic()
-                continue
-            if kind == "event":
-                # Live telemetry from a running task; stale attempts
-                # (already failed over) are silenced.
-                if held and self._on_event is not None:
-                    self._on_event(index, body)
-                continue
-            if held:
-                self._durations.append(
-                    time.monotonic() - worker.age_basis
-                )
+                    continue
+                if kind == "event":
+                    # Live telemetry from a running task.
+                    if self._on_event is not None:
+                        self._on_event(index, body)
+                    continue
+                self._durations.append(time.monotonic() - worker.age_basis)
                 worker.assigned = None
                 worker.started_at = None
                 # Its next point goes out before the bookkeeping below
                 # (the journal append, or queueing a retry), so the
                 # worker simulates while the supervisor writes.
                 self._assign_ready()
-            if kind == "done":
-                self._complete(index, body)
-            else:  # "error"
-                self._handle_failure(
-                    index, attempt, reason="error", detail=body
-                )
+                if kind == "done":
+                    self._complete(index, body)
+                else:  # "error"
+                    self._handle_failure(
+                        index, attempt, reason="error", detail=body
+                    )
 
     def _reap_crashes(self) -> None:
         for worker_id, worker in list(self._workers.items()):
@@ -386,7 +447,7 @@ class SupervisedPool:
             self._dismiss_worker(worker_id)
             if assigned is None:
                 continue  # idle death; _maintain_strength replaces it
-            self.tracer.count("worker_crashes")
+            self._tracer.count("worker_crashes")
             index, attempt = assigned
             self._handle_failure(
                 index,
@@ -399,7 +460,7 @@ class SupervisedPool:
             )
 
     def _enforce_deadline(self) -> None:
-        deadline = self.policy.deadline_for(self._durations)
+        deadline = self._policy.deadline_for(self._durations)
         if deadline is None:
             return
         now = time.monotonic()
@@ -408,7 +469,7 @@ class SupervisedPool:
                 continue
             if now - worker.age_basis <= deadline:
                 continue
-            self.tracer.count("timeouts")
+            self._tracer.count("timeouts")
             index, attempt = worker.assigned
             worker.assigned = None  # don't double-fail via crash reap
             self._dismiss_worker(worker_id, kill=True)
@@ -424,22 +485,18 @@ class SupervisedPool:
 
     # ----------------------------------------------------- completion/failure
     def _complete(self, index: int, result: object) -> None:
-        if index in self._results:  # stale duplicate; results identical
-            return
         self._results[index] = result
-        self.tracer.count("points_simulated")
+        self._tracer.count("points_simulated")
         if self._on_result is not None:
             self._on_result(index, result)
 
     def _handle_failure(
         self, index: int, attempt: int, reason: str, detail: str
     ) -> None:
-        if index in self._results:  # a concurrent attempt finished
-            return
         next_attempt = attempt + 1
-        if next_attempt <= self.policy.retries:
-            self.tracer.count("retries")
-            ready_at = time.monotonic() + self.policy.backoff_s(
+        if next_attempt <= self._policy.retries:
+            self._tracer.count("retries")
+            ready_at = time.monotonic() + self._policy.backoff_s(
                 next_attempt
             )
             self._pending.append((ready_at, index, next_attempt))
@@ -455,7 +512,7 @@ class SupervisedPool:
         # Budget spent: one final serial attempt in this process. A
         # deterministic failure reproduces here and surfaces as a real
         # error, with the last worker-side detail attached.
-        self.tracer.count("fallback_in_process")
+        self._tracer.count("fallback_in_process")
         try:
             result = self.fn(self._tasks[index])
         except Exception as exc:

@@ -154,25 +154,24 @@ class WorkerTier:
     def _run_supervised(self, task: dict, job: Job):
         """Supervisor-thread body: one job, one isolated worker."""
         supervisor = Tracer()
-        pool = SupervisedPool(
-            _service_task_main,
-            jobs=1,
-            policy=RetryPolicy(
-                retries=self.retries,
-                deadline_s=self.deadline_s,
-                # Adaptive deadlines need completed points to learn
-                # from; a single-task pool has none, so without a
-                # pinned deadline hangs are bounded by the pinned
-                # floor never engaging — callers that care pass
-                # deadline_s explicitly.
-            ),
-            tracer=supervisor,
-            isolate=True,
-        )
-        results = pool.map(
-            [task],
-            on_event=lambda _index, event: job.record_event(event),
-        )
+        # Closed as the job ends: a job's worker serves no other job.
+        with SupervisedPool(
+            _service_task_main, jobs=1, isolate=True
+        ) as pool:
+            results = pool.map(
+                [task],
+                on_event=lambda _index, event: job.record_event(event),
+                policy=RetryPolicy(
+                    retries=self.retries,
+                    deadline_s=self.deadline_s,
+                    # Adaptive deadlines need completed points to learn
+                    # from; a single-task pool has none, so without a
+                    # pinned deadline hangs are bounded by the pinned
+                    # floor never engaging — callers that care pass
+                    # deadline_s explicitly.
+                ),
+                tracer=supervisor,
+            )
         body, counters, meta = results[0]
         # Fold supervisor-side facts (crashes, timeouts, retries the
         # worker could not know about — it was dead) into the job's

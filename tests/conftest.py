@@ -8,8 +8,19 @@ from repro.arch.params import PitonConfig
 from repro.check.anchors import check_document
 from repro.check.golden import result_document
 from repro.experiments import RunContext, get_experiment
+from repro.experiments.parallel import close_shared_pools
 from repro.system import PitonSystem
 from repro.util.events import EventLedger
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_workers():
+    """Close the process-wide pools after each test. Their workers
+    outlive a grid, so a test's grids would otherwise run on workers
+    an earlier test forked, and its child count would depend on the
+    order tests run in."""
+    yield
+    close_shared_pools()
 
 
 @pytest.fixture

@@ -22,10 +22,17 @@ import pytest
 from repro.batch import batch_key
 from repro.check.faults import (
     WORKER_FAULT_ENV,
+    arm_worker_fault,
+    disarm_worker_fault,
     inject_checkpoint_truncation,
 )
 from repro.experiments import RunContext
-from repro.experiments.parallel import parallel_simulate
+from repro.experiments.parallel import (
+    _simulate_stripped,
+    close_shared_pools,
+    parallel_simulate,
+    shared_pool,
+)
 from repro.obs.trace import Tracer
 from repro.resilience import (
     EXIT_RESUMABLE,
@@ -114,13 +121,12 @@ def test_worker_hang_killed_by_deadline(monkeypatch):
 
 
 def test_deterministic_failure_raises_point_failure():
-    pool = SupervisedPool(
-        _always_failing,
-        jobs=2,
-        policy=RetryPolicy(retries=1, backoff_base_s=0.01),
-    )
+    pool = SupervisedPool(_always_failing, jobs=2)
     with pytest.raises(PointFailure, match="grid point"):
-        pool.map(["task-a", "task-b"])
+        pool.map(
+            ["task-a", "task-b"],
+            policy=RetryPolicy(retries=1, backoff_base_s=0.01),
+        )
 
 
 def _always_failing(task):
@@ -369,6 +375,8 @@ def test_supervised_pool_hands_out_work_before_bookkeeping():
     assert spawns == [[], [(0, 0)]]
     # Until the last two points, a ready point is left to hand out.
     assert holding == [True] * (len(tasks) - 2) + [False, False]
+    # The workers outlive the map; close() tears them down.
+    pool.close()
     teardown = [(event, args) for event, args in pool.events
                 if event != "spawn"]
     assert teardown[:2] == [("put", (None,)), ("put", (None,))]
@@ -376,6 +384,8 @@ def test_supervised_pool_hands_out_work_before_bookkeeping():
 
 
 def test_supervised_pool_leaves_no_children(monkeypatch):
+    """A ``jobs=2`` grid leaves at most its shared pool's 2 workers up,
+    and closing the shared pools takes them down."""
     import multiprocessing
 
     before = set(p.pid for p in multiprocessing.active_children())
@@ -386,9 +396,274 @@ def test_supervised_pool_leaves_no_children(monkeypatch):
             supervision=Supervision(),
         )
     )
-    time.sleep(0.1)
+    pool = shared_pool(_simulate_stripped, 2)
+    kept = {worker.proc.pid for worker in pool._workers.values()}
+    new = set(p.pid for p in multiprocessing.active_children()) - before
+    assert len(new) <= 2 and new <= kept
+    close_shared_pools()
     after = set(p.pid for p in multiprocessing.active_children())
     assert after <= before
+
+
+def _late_bulk(task):
+    delay, size = task
+    time.sleep(delay)
+    return b"x" * size
+
+
+def test_worker_killed_mid_message_harms_no_later_grid():
+    """A worker killed half-way through writing its result costs one
+    retry of its own point, and the next grid on the same workers runs
+    clean. The result is far larger than a pipe holds, and nothing
+    reads it while the supervisor is in ``on_result`` (the journal
+    append), so the worker is blocked mid-message when it dies."""
+    import threading
+
+    bulk = 4 << 20
+    pool = SupervisedPool(_late_bulk, jobs=2)
+    killed = []
+
+    def on_result(index, result):
+        if killed:
+            return
+        time.sleep(0.5)  # point 1 finishes and blocks writing
+        (worker,) = [
+            w for w in pool._workers.values() if w.assigned == (1, 0)
+        ]
+        os.kill(worker.proc.pid, signal.SIGKILL)
+        killed.append(worker.proc.pid)
+
+    tracers = [Tracer(), Tracer()]
+    results = []
+
+    def grids():
+        results.append(
+            pool.map(
+                [(0.0, 1), (0.2, bulk)], on_result, tracer=tracers[0]
+            )
+        )
+        results.append(
+            pool.map([(0.0, bulk), (0.0, 1)], tracer=tracers[1])
+        )
+
+    thread = threading.Thread(target=grids, daemon=True)
+    thread.start()
+    thread.join(30)
+    assert not thread.is_alive(), "a torn result stalled the pool"
+    pool.close()
+    assert killed
+    assert results == [[b"x", b"x" * bulk], [b"x" * bulk, b"x"]]
+    first, second = (dict(tracer.resilience) for tracer in tracers)
+    assert first["worker_crashes"] == 1, first
+    assert "fallback_in_process" not in first, first
+    assert "worker_crashes" not in second, second
+    assert "retries" not in second, second
+
+
+# -------------------------------------------------- kept pool workers
+def _two_grids(monkeypatch, between=None):
+    """Run two ``jobs=2`` grids, calling ``between()`` after the first.
+
+    Returns each grid's ledgers and resilience counters, and how many
+    workers were forked in all.
+    """
+    forks = []
+    spawn = SupervisedPool._spawn_worker
+
+    def counted(pool):
+        forks.append(pool)
+        spawn(pool)
+
+    monkeypatch.setattr(SupervisedPool, "_spawn_worker", counted)
+    runs = []
+    for step in (None, between):
+        if step is not None:
+            step()
+        tracer = Tracer()
+        ledgers = _ledgers(
+            parallel_simulate(
+                _grid_requests(),
+                jobs=2,
+                supervision=Supervision(tracer=tracer),
+            )
+        )
+        runs.append((ledgers, dict(tracer.resilience)))
+    return runs, len(forks)
+
+
+def test_consecutive_grids_fork_two_workers_in_all(monkeypatch):
+    serial = _ledgers(parallel_simulate(_grid_requests(), jobs=1))
+    runs, forks = _two_grids(monkeypatch)
+    assert forks == 2  # a pool per grid forks 4
+    assert [ledgers for ledgers, _ in runs] == [serial, serial]
+
+
+def test_worker_killed_while_idle_is_replaced_uncounted(monkeypatch):
+    def kill_one():
+        pool = shared_pool(_simulate_stripped, 2)
+        worker = next(iter(pool._workers.values()))
+        os.kill(worker.proc.pid, signal.SIGKILL)
+        worker.proc.join(5)
+        assert not worker.proc.is_alive()
+
+    runs, forks = _two_grids(monkeypatch, kill_one)
+    (first, _), (second, counters) = runs
+    assert forks == 3
+    assert second == first
+    assert "worker_crashes" not in counters, counters
+    assert "retries" not in counters, counters
+
+
+def test_fault_armed_between_grids_reaches_kept_workers(monkeypatch):
+    """The fault travels with each point, so workers forked before
+    the arming (their environment has none) still crash."""
+    try:
+        runs, forks = _two_grids(
+            monkeypatch, lambda: arm_worker_fault("worker_crash", 1)
+        )
+    finally:
+        disarm_worker_fault()
+    (first, clean), (second, counters) = runs
+    assert second == first
+    assert "worker_crashes" not in clean, clean
+    assert counters["worker_crashes"] >= 1, counters
+    assert "fallback_in_process" not in counters, counters
+
+
+def test_maps_from_threads_take_turns():
+    """Four threads (more than the cores CI has) draw the shared pool
+    and map on it at once, with thread switches forced often: they get
+    one pool, and each map runs whole, never interleaved with
+    another's."""
+    import threading
+
+    log: list[int] = []
+    pools = {}
+    results = {}
+
+    def grid(name):
+        pool = pools[name] = shared_pool(_slow_task, 2)
+        results[name] = pool.map(
+            [0.01 * name] * 3,
+            on_result=lambda index, result: log.append(name),
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        # Daemonic, with one deadline for all: a map that wedges fails
+        # the test instead of hanging the interpreter's exit.
+        threads = [
+            threading.Thread(target=grid, args=(name,), daemon=True)
+            for name in (1, 2, 3, 4)
+        ]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 60
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len({id(pool) for pool in pools.values()}) == 1
+    assert results == {name: [0.01 * name] * 3 for name in (1, 2, 3, 4)}
+    # Each map's three results arrive together.
+    order = log[::3]
+    assert sorted(order) == [1, 2, 3, 4]
+    assert log == [name for name in order for _ in range(3)]
+
+
+def _grid_in_child(done) -> None:
+    tracer = Tracer()
+    ledgers = _ledgers(
+        parallel_simulate(
+            _grid_requests(), jobs=2, supervision=Supervision(tracer=tracer)
+        )
+    )
+    done.put((ledgers, dict(tracer.resilience)))
+
+
+def test_forked_child_forks_its_own_pool():
+    """A child forked while its parent keeps workers runs its grid on
+    workers of its own and leaves the parent's alone."""
+    import multiprocessing
+
+    first = _ledgers(parallel_simulate(_grid_requests(), jobs=2))
+    pool = shared_pool(_simulate_stripped, 2)
+    kept = {worker.proc.pid for worker in pool._workers.values()}
+    done = multiprocessing.Queue()
+    child = multiprocessing.Process(target=_grid_in_child, args=(done,))
+    child.start()
+    ledgers, counters = done.get(timeout=120)
+    child.join(30)
+    assert child.exitcode == 0
+    assert ledgers == first
+    assert "worker_crashes" not in counters, counters
+    assert {worker.proc.pid for worker in pool._workers.values()} == kept
+    assert all(worker.proc.is_alive() for worker in pool._workers.values())
+
+
+#: Runs a ``jobs=2`` grid, prints its pool's worker pids, then exits,
+#: or with ``wait`` sleeps until it is killed.
+_KEPT_WORKERS_SCRIPT = """
+import sys, time
+from repro.experiments.parallel import (
+    _simulate_stripped, parallel_simulate, shared_pool,
+)
+from repro.system import PitonSystem
+from repro.workloads.microbench import hist_workload, microbench_core_ids
+
+system = PitonSystem.default(seed=13)
+requests = [
+    system.sim_request(
+        hist_workload(microbench_core_ids(tiles), 1).tiles,
+        warmup_cycles=800, window_cycles=1_200,
+    )
+    for tiles in (2, 3)
+]
+list(parallel_simulate(requests, jobs=2))
+workers = shared_pool(_simulate_stripped, 2)._workers.values()
+print(*(worker.proc.pid for worker in workers), flush=True)
+if sys.argv[1] == "wait":
+    time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process; a zombie is not."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.parametrize("ending", ["exit", "wait"])
+def test_no_worker_outlives_its_interpreter(ending):
+    """Kept workers end with the interpreter that forked them: at a
+    normal exit it closes them, and a SIGKILLed one leaves them to
+    notice its death themselves."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    env.pop(WORKER_FAULT_ENV, None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KEPT_WORKERS_SCRIPT, ending],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        if ending == "wait":
+            proc.kill()
+        assert proc.wait(timeout=60) == (0 if ending == "exit" else -9)
+    finally:
+        proc.kill()
+        proc.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 2.0
+    while any(_running(pid) for pid in pids):
+        assert time.monotonic() < deadline, "a pool worker outlived it"
+        time.sleep(0.01)
 
 
 # ------------------------------------------------------------ CLI circuit
