@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.floorplan import Floorplan
 from repro.noc.mesh import MeshNetwork
 
 #: Shading ramp for the heatmap, light to heavy.
@@ -32,33 +31,15 @@ class NocAnalysis:
 
     def __init__(self, mesh: MeshNetwork):
         self.mesh = mesh
-        self.floorplan = Floorplan(mesh.config)
-        self._flits_per_link: dict[tuple[int, int], int] = {}
-        # Reconstruct per-link counts from router statistics is lossy;
-        # track them from the link-state map the mesh maintains plus
-        # router counters. The mesh keeps last-payload per link; counts
-        # come from the routers' flits_routed attribution below.
-        self._collect()
-
-    def _collect(self) -> None:
-        # The mesh's ledger holds aggregate flit-hops; per-link counts
-        # come from replaying its link-state keys (links that ever
-        # carried traffic) weighted by router pass-throughs.
-        for (src, dst) in self.mesh._link_last:
-            self._flits_per_link[(src, dst)] = 0
-        # Exact per-link counts require the mesh to tally them; the
-        # mesh does so on demand via traverse hooks (see MeshNetwork
-        # link_counts).
-        counts = getattr(self.mesh, "link_counts", None)
-        if counts:
-            self._flits_per_link.update(counts)
 
     # ---------------------------------------------------------------- queries
     def link_loads(self) -> list[LinkLoad]:
+        """Every link that carried a flit, busiest first (the mesh
+        counts each link's flits as they cross it)."""
         return sorted(
             (
                 LinkLoad(src, dst, flits)
-                for (src, dst), flits in self._flits_per_link.items()
+                for (src, dst), flits in self.mesh.link_counts.items()
             ),
             key=lambda load: -load.flits,
         )

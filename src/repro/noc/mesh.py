@@ -8,9 +8,10 @@ opposite-direction adjacent-bit fraction. Router traversals record
 energy model prices.
 
 A cycle costs what its traffic needs: only routers that may hold a
-flit are arbitrated, and a cycle with nothing buffered or queued for
-injection only advances the clock. Routes and links come from
-per-shape tables instead of coordinate arithmetic.
+flit are arbitrated, each only at the outputs its occupied inputs
+request, and a cycle with nothing buffered or queued for injection
+only advances the clock. Routes and links come from per-shape tables
+instead of coordinate arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import functools
 from collections import deque
 
-from repro.arch.floorplan import Floorplan
 from repro.arch.params import PitonConfig
 from repro.noc.flit import Flit, Packet, coupling_factor, switching_bits
 from repro.noc.router import PORTS, Port, Router, is_turn
@@ -28,6 +28,11 @@ from repro.util.events import EventLedger
 _RR_SCAN = tuple(
     tuple(enumerate(PORTS))[start:] + tuple(enumerate(PORTS))[:start]
     for start in range(len(PORTS))
+)
+
+#: Output ports of each request mask (bit ``port`` set), in port order.
+_REQUESTED = tuple(
+    tuple(p for p in PORTS if mask >> p & 1) for mask in range(1 << len(PORTS))
 )
 
 #: Output port -> (dx, dy, input port the flit arrives on downstream).
@@ -82,11 +87,11 @@ class MeshNetwork:
         self.config = config or PitonConfig()
         self.ledger = ledger if ledger is not None else EventLedger()
         self.network_id = network_id
-        self.floorplan = Floorplan(self.config)
-        self.routers: list[Router] = []
-        for tile in range(self.config.tile_count):
-            coord = self.floorplan.coord_of(tile)
-            self.routers.append(Router(tile, coord.x, coord.y))
+        width = self.config.mesh_width
+        self.routers = [
+            Router(t, t % width, t // width)
+            for t in range(self.config.tile_count)
+        ]
         self._routes, self._links = _mesh_tables(
             self.config.mesh_width, self.config.mesh_height
         )
@@ -97,11 +102,8 @@ class MeshNetwork:
         # exact per-link flit counts for traffic analysis.
         self._link_last: dict[tuple[int, int], int] = {}
         self.link_counts: dict[tuple[int, int], int] = {}
-        # Packets waiting at each tile's injection port.
+        # Flits waiting at each tile's injection port.
         self._inject_queues: dict[int, deque[Flit]] = {
-            t: deque() for t in range(self.config.tile_count)
-        }
-        self._pending_packets: dict[int, deque[Packet]] = {
             t: deque() for t in range(self.config.tile_count)
         }
         # Tiles whose injection queue, and routers whose input queues,
@@ -112,7 +114,8 @@ class MeshNetwork:
         self._busy: set[int] = set()
         self.delivered: list[Packet] = []
         self._eject_partial: dict[int, list[Flit]] = {}
-        self._eject_packet_queue: dict[int, deque[Packet]] = {}
+        # Undelivered packets by the identity of their tail flit.
+        self._awaiting: dict[int, Packet] = {}
         self.now = 0
         self.total_flit_hops = 0
         # Flit-conservation ledger and forward-progress watermark for
@@ -129,10 +132,8 @@ class MeshNetwork:
     def inject(self, packet: Packet, at_tile: int) -> None:
         """Queue a packet for injection at ``at_tile``'s local port."""
         packet.injected_at = self.now
-        self._pending_packets[at_tile].append(packet)
-        self._eject_packet_queue.setdefault(packet.dest, deque()).append(
-            packet
-        )
+        if packet.flits:
+            self._awaiting[id(packet.flits[-1])] = packet
         self._inject_queues[at_tile].extend(packet.flits)
         self._injecting.add(at_tile)
         self.flits_injected += len(packet.flits)
@@ -164,9 +165,15 @@ class MeshNetwork:
             self.step()
 
     def drain(self, max_cycles: int = 100_000) -> None:
-        """Run until every injected flit has been delivered."""
+        """Run until every injected flit has been delivered.
+
+        The queues are scanned only once the conservation counters
+        balance. A lost or duplicated flit keeps the counters or the
+        queues from reading empty, so it runs out ``max_cycles``.
+        """
         for _ in range(max_cycles):
-            if self.in_flight == 0:
+            balanced = self.flits_ejected == self.flits_injected
+            if balanced and self.in_flight == 0:
                 if self.checker is not None:
                     self.checker.check_mesh(self)
                 return
@@ -186,14 +193,29 @@ class MeshNetwork:
 
     def _arbitrate(self) -> list[tuple[int, Port, Port]]:
         """Grants of this cycle as ``(tile, in_port, out_port)``, in
-        ascending tile then output-port order."""
+        ascending tile then output-port order.
+
+        A router arbitrates only the outputs its occupied inputs
+        request: an input's locked output or, unlocked, the route of
+        its head flit. No other output can grant or change state.
+        """
         moves: list[tuple[int, Port, Port]] = []
         for tile in sorted(self._busy):
             router = self.routers[tile]
-            if not any(ip.queue for ip in router.inputs.values()):
+            routes = self._routes[tile]
+            held = False
+            requested = 0
+            for ip in router.inputs.values():
+                if ip.queue:
+                    held = True
+                    if ip.locked_output is not None:
+                        requested |= 1 << ip.locked_output
+                    elif ip.queue[0].is_head:
+                        requested |= 1 << routes[ip.queue[0].dest]
+            if not held:
                 self._busy.discard(tile)
                 continue
-            for out_port in PORTS:
+            for out_port in _REQUESTED[requested]:
                 in_port = self._grant(router, out_port)
                 if in_port is not None:
                     moves.append((tile, in_port, out_port))
@@ -236,52 +258,55 @@ class MeshNetwork:
         return None
 
     def _downstream_full(self, tile: int, out_port: Port) -> bool:
-        if out_port == Port.LOCAL:
+        link = self._links[tile][out_port]
+        if link is None:  # the local port ejects without credits
             return False
-        neighbor, in_port = self._links[tile][out_port]
+        neighbor, in_port = link
         return not self.routers[neighbor].can_accept(in_port)
 
     def _apply(self, moves: list[tuple[int, Port, Port]]) -> None:
-        if moves:
-            self.last_progress = self.now
+        """Move each granted flit one hop, pricing it as
+        ``EventLedger.record`` would (one event, activity in [0, 1])."""
+        if not moves:
+            return
+        self.last_progress = self.now
+        counts, weights = self.ledger.counts, self.ledger.weights
+        router_pass, flit_hop = self._router_pass, self._flit_hop
+        coupling = self._coupling
         for tile, in_port, out_port in moves:
             router = self.routers[tile]
             ip = router.inputs[in_port]
             flit = ip.queue.popleft()
+            payload = flit.payload
             router.flits_routed += 1
-            self.ledger.record(
-                self._router_pass, activity=flit.payload.bit_count() / 64.0
-            )
+            counts[router_pass] += 1.0
+            weights[router_pass] += payload.bit_count() / 64.0
             if flit.is_tail:
                 ip.locked_output = None
                 router.output_locked_by[out_port] = None
-            if out_port == Port.LOCAL:
+            link = self._links[tile][out_port]
+            if link is None:
                 self._eject(tile, flit)
-            else:
-                neighbor, neighbor_in = self._links[tile][out_port]
-                self._traverse_link(tile, neighbor, flit)
-                self.routers[neighbor].enqueue(neighbor_in, flit)
-                self._busy.add(neighbor)
-
-    def _traverse_link(self, src: int, dst: int, flit: Flit) -> None:
-        key = (src, dst)
-        prev = self._link_last.get(key, 0)
-        toggled = switching_bits(prev, flit.payload)
-        self.ledger.record(self._flit_hop, activity=toggled / 64.0)
-        self.ledger.record(
-            self._coupling, activity=coupling_factor(prev, flit.payload)
-        )
-        self._link_last[key] = flit.payload
-        self.link_counts[key] = self.link_counts.get(key, 0) + 1
-        self.total_flit_hops += 1
+                continue
+            neighbor, neighbor_in = link
+            key = (tile, neighbor)
+            prev = self._link_last.get(key, 0)
+            counts[flit_hop] += 1.0
+            weights[flit_hop] += switching_bits(prev, payload) / 64.0
+            counts[coupling] += 1.0
+            weights[coupling] += coupling_factor(prev, payload)
+            self._link_last[key] = payload
+            self.link_counts[key] = self.link_counts.get(key, 0) + 1
+            self.total_flit_hops += 1
+            self.routers[neighbor].enqueue(neighbor_in, flit)
+            self._busy.add(neighbor)
 
     def _eject(self, tile: int, flit: Flit) -> None:
         partial = self._eject_partial.setdefault(tile, [])
         partial.append(flit)
         if flit.is_tail:
-            queue = self._eject_packet_queue.get(tile)
-            if queue:
-                packet = queue.popleft()
+            packet = self._awaiting.pop(id(flit), None)
+            if packet is not None:
                 packet.delivered_at = self.now + 1
                 self.delivered.append(packet)
             # Partial flits stay in flight until the tail lands, so

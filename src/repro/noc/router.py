@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
 
 from repro.noc.flit import Flit
 
@@ -28,6 +27,11 @@ PORTS = tuple(Port)
 
 X_PORTS = (Port.EAST, Port.WEST)
 
+#: A new router's output locks and round-robin pointers; each router
+#: copies them (a copy keeps the keys' hashes).
+_UNLOCKED = dict.fromkeys(PORTS)
+_RR_START = dict.fromkeys(PORTS, 0)
+
 
 def is_turn(in_port: Port, out_port: Port) -> bool:
     """A dimension change (X input to Y output or vice versa)."""
@@ -36,11 +40,15 @@ def is_turn(in_port: Port, out_port: Port) -> bool:
     return (in_port in X_PORTS) != (out_port in X_PORTS)
 
 
-@dataclass
 class InputPort:
-    queue: deque[Flit] = field(default_factory=deque)
-    locked_output: Port | None = None
-    stall_until: int = -1  # turn-penalty stall
+    """One input FIFO with its wormhole lock and turn-penalty stall."""
+
+    __slots__ = ("queue", "locked_output", "stall_until")
+
+    def __init__(self) -> None:
+        self.queue: deque[Flit] = deque()
+        self.locked_output: Port | None = None
+        self.stall_until = -1
 
 
 class Router:
@@ -53,8 +61,8 @@ class Router:
         self.x = x
         self.y = y
         self.inputs: dict[Port, InputPort] = {p: InputPort() for p in PORTS}
-        self.output_locked_by: dict[Port, Port | None] = dict.fromkeys(PORTS)
-        self.rr_pointer: dict[Port, int] = dict.fromkeys(PORTS, 0)
+        self.output_locked_by: dict[Port, Port | None] = _UNLOCKED.copy()
+        self.rr_pointer: dict[Port, int] = _RR_START.copy()
         self.flits_routed = 0
 
     def route_port(self, dest_x: int, dest_y: int) -> Port:

@@ -1,4 +1,12 @@
-"""Property-based tests: mesh geometry and flit-level routing."""
+"""Property-based tests: mesh geometry and flit-level routing.
+
+The lockstep test at the end runs the mesh beside a test-local
+reference that arbitrates exhaustively: every busy router calls
+``_grant`` for all five outputs, and every hop is priced through
+``EventLedger.record``. The mesh, which arbitrates only requested
+outputs, must make the same moves and keep the same state after every
+cycle.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +17,7 @@ from repro.arch.floorplan import Floorplan
 from repro.arch.params import PitonConfig
 from repro.noc.flit import Packet, coupling_factor, switching_bits
 from repro.noc.mesh import MeshNetwork
+from repro.noc.router import PORTS, Port
 
 FP = Floorplan()
 TILES = st.integers(0, 24)
@@ -109,3 +118,153 @@ def test_flit_conservation(dst, payloads):
     mesh.drain()
     expected = len(packet) * FP.hops(0, dst)
     assert mesh.total_flit_hops == expected
+
+
+@given(
+    st.lists(
+        st.tuples(TILES, TILES, st.lists(WORDS, max_size=6)),
+        min_size=2,
+        max_size=12,
+    )
+)
+@settings(deadline=None)
+def test_packets_from_many_sources_each_meet_their_latency_floor(sends):
+    """Each tail delivers its own packet: with several sources racing
+    to shared tiles, no packet beats its own hop and turn floor."""
+    mesh = MeshNetwork(PitonConfig(), network_id=1)
+    packets = []
+    for src, dst, payloads in sends:
+        packet = Packet.build(dst, payloads)
+        mesh.inject(packet, src)
+        packets.append((src, packet))
+    mesh.drain(max_cycles=20_000)
+    assert sorted(map(id, mesh.delivered)) == sorted(
+        id(packet) for _, packet in packets
+    )
+    for src, packet in packets:
+        turn = 1 if FP.has_turn(src, packet.dest) else 0
+        assert packet.latency >= FP.hops(src, packet.dest) + turn
+
+
+class _MaskedMesh(MeshNetwork):
+    """The mesh under test, keeping each cycle's moves."""
+
+    def _arbitrate(self):
+        self.moves = super()._arbitrate()
+        return self.moves
+
+
+class _ExhaustiveMesh(MeshNetwork):
+    """Reference: ``_grant`` for all five outputs of every busy router,
+    and each hop priced through ``EventLedger.record``."""
+
+    def _arbitrate(self):
+        moves = []
+        for tile in sorted(self._busy):
+            router = self.routers[tile]
+            if not any(ip.queue for ip in router.inputs.values()):
+                self._busy.discard(tile)
+                continue
+            for out_port in PORTS:
+                in_port = self._grant(router, out_port)
+                if in_port is not None:
+                    moves.append((tile, in_port, out_port))
+        self.moves = moves
+        return moves
+
+    def _apply(self, moves):
+        if moves:
+            self.last_progress = self.now
+        record = self.ledger.record
+        for tile, in_port, out_port in moves:
+            router = self.routers[tile]
+            ip = router.inputs[in_port]
+            flit = ip.queue.popleft()
+            router.flits_routed += 1
+            weight = flit.payload.bit_count() / 64.0
+            record(self._router_pass, activity=weight)
+            if flit.is_tail:
+                ip.locked_output = None
+                router.output_locked_by[out_port] = None
+            if out_port == Port.LOCAL:
+                self._eject(tile, flit)
+                continue
+            neighbor, neighbor_in = self._links[tile][out_port]
+            key = (tile, neighbor)
+            prev = self._link_last.get(key, 0)
+            toggled = switching_bits(prev, flit.payload)
+            record(self._flit_hop, activity=toggled / 64.0)
+            record(self._coupling,
+                   activity=coupling_factor(prev, flit.payload))
+            self._link_last[key] = flit.payload
+            self.link_counts[key] = self.link_counts.get(key, 0) + 1
+            self.total_flit_hops += 1
+            self.routers[neighbor].enqueue(neighbor_in, flit)
+            self._busy.add(neighbor)
+
+
+def _mesh_state(mesh):
+    """Everything a cycle can change, in comparable form."""
+    return (
+        mesh.now,
+        mesh.moves,
+        list(mesh.ledger.counts.items()),
+        list(mesh.ledger.weights.items()),
+        mesh.link_counts,
+        [
+            (
+                router.flits_routed,
+                router.rr_pointer,
+                router.output_locked_by,
+                [
+                    (ip.locked_output, ip.stall_until, list(ip.queue))
+                    for ip in router.inputs.values()
+                ],
+            )
+            for router in mesh.routers
+        ],
+    )
+
+
+#: Injections ``(src, dst, payload words, cycles to the next one)``:
+#: sources anywhere, so routes turn, into a few shared destinations,
+#: so wormholes block one another and input queues fill up.
+contended_traffic = st.lists(
+    st.tuples(
+        TILES,
+        st.sampled_from((2, 12, 14, 22)),
+        st.lists(WORDS, max_size=6),
+        st.integers(0, 3),
+    ),
+    min_size=2,
+    max_size=14,
+)
+
+
+@given(contended_traffic)
+def test_request_masks_arbitrate_like_every_output(traffic):
+    masked = _MaskedMesh(network_id=2)
+    reference = _ExhaustiveMesh(network_id=2)
+    meshes = (masked, reference)
+    sent: tuple[list, list] = ([], [])
+
+    def step_both():
+        for mesh in meshes:
+            mesh.step()
+        assert _mesh_state(masked) == _mesh_state(reference)
+
+    for src, dst, payloads, gap in traffic:
+        for mesh, packets in zip(meshes, sent):
+            packet = Packet.build(dst, payloads)
+            mesh.inject(packet, src)
+            packets.append(packet)
+        for _ in range(gap):
+            step_both()
+    for _ in range(20_000):
+        if not (masked.in_flight or reference.in_flight):
+            break
+        step_both()
+    assert masked.in_flight == reference.in_flight == 0
+    assert [p.delivered_at for p in sent[0]] == [
+        p.delivered_at for p in sent[1]
+    ]

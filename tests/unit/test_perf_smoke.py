@@ -19,7 +19,8 @@ its four paths:
 
 A fifth floor guards the governor's 17 Hz loop: a ``pi_cap`` scenario
 read through seeded telemetry, which prices the plant about six times
-a tick.
+a tick. A sixth guards the flit-level mesh: a Figure 12 stream, paced
+and drained cycle by cycle.
 
 Each floor is deliberately generous — about two orders of magnitude
 below current throughput — so it only trips on a genuine hot-loop
@@ -37,6 +38,7 @@ from repro.isa.program import Instruction, flat_program
 from repro.system import PitonSystem
 from repro.workloads.base import TileProgram
 from repro.workloads.epi_tests import build_epi_workload
+from repro.workloads.noc_tests import run_noc_stream
 from repro.workloads.microbench import (
     PATTERN_A,
     PATTERN_B,
@@ -74,6 +76,12 @@ MIN_SPIN_INSTRUCTIONS_PER_SECOND = 3_000
 #: plant about 6 times and reading the board's monitors once, at about
 #: 57k ticks/s on a 2-CPU x86-64 VM (Python 3.11).
 MIN_GOVERNED_TICKS_PER_SECOND = 500
+
+#: The floor for the mesh, in flit-hops per wall-clock second. 60 FSWA
+#: packets of 7 flits streamed 4 hops make 1,680 flit-hops over 2,820
+#: cycles, at about 110k flit-hops/s on a 2-CPU x86-64 VM (Python
+#: 3.11).
+MIN_STREAM_FLIT_HOPS_PER_SECOND = 1_000
 
 
 def _timed_run(tiles):
@@ -183,4 +191,19 @@ def test_governed_tick_throughput_floor():
     assert rate >= MIN_GOVERNED_TICKS_PER_SECOND, (
         f"governed loop regressed: {rate:,.0f} ticks/s "
         f"(floor {MIN_GOVERNED_TICKS_PER_SECOND:,})"
+    )
+
+
+def test_mesh_stream_throughput_floor():
+    start = time.perf_counter()
+    run = run_noc_stream("FSWA", 4, 60)
+    elapsed = time.perf_counter() - start
+
+    assert run.packets_delivered == 60
+    flit_hops = run.ledger.count("noc2.flit_hop")
+    assert flit_hops == 60 * 7 * 4
+    rate = flit_hops / elapsed
+    assert rate >= MIN_STREAM_FLIT_HOPS_PER_SECOND, (
+        f"mesh stream regressed: {rate:,.0f} flit-hops/s "
+        f"(floor {MIN_STREAM_FLIT_HOPS_PER_SECOND:,})"
     )
