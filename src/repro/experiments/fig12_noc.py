@@ -58,7 +58,8 @@ def run(ctx: RunContext) -> ExperimentResult:
 
         epf_pj: list[float] = []
         for hops in hops_sweep:
-            stream = run_noc_stream(
+            # The deterministic 0-hop point is the baseline, remeasured.
+            stream = base if hops == 0 else run_noc_stream(
                 pattern, hops, packets, system.config,
                 checker=system.checker,
             )

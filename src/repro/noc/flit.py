@@ -16,20 +16,37 @@ from typing import Sequence
 WORD_MASK = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
 class Flit:
-    """One 64-bit flit."""
+    """One 64-bit flit, compared and hashed by value. ``dest`` is the
+    routing destination, which head flits require."""
 
-    payload: int
-    is_head: bool = False
-    is_tail: bool = False
-    dest: int | None = None  # routing destination, head flits only
+    __slots__ = ("payload", "is_head", "is_tail", "dest")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.payload <= WORD_MASK:
+    def __init__(self, payload: int, is_head: bool = False,
+                 is_tail: bool = False, dest: int | None = None):
+        if not 0 <= payload <= WORD_MASK:
             raise ValueError("payload must fit in 64 bits")
-        if self.is_head and self.dest is None:
+        if is_head and dest is None:
             raise ValueError("head flit requires a destination")
+        self.payload = payload
+        self.is_head = is_head
+        self.is_tail = is_tail
+        self.dest = dest
+
+    def _key(self) -> tuple:
+        return (self.payload, self.is_head, self.is_tail, self.dest)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Flit:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("Flit(payload=%r, is_head=%r, is_tail=%r, dest=%r)"
+                % self._key())
 
 
 @dataclass

@@ -11,7 +11,9 @@ A cycle costs what its traffic needs: only routers that may hold a
 flit are arbitrated, each only at the outputs its occupied inputs
 request, and a cycle with nothing buffered or queued for injection
 only advances the clock. Routes and links come from per-shape tables
-instead of coordinate arithmetic.
+instead of coordinate arithmetic. A router is built when a flit first
+reaches its tile, so a stream pays for the routers on its route;
+reading :attr:`MeshNetwork.routers` builds the rest.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import functools
 from collections import deque
 
 from repro.arch.params import PitonConfig
-from repro.noc.flit import Flit, Packet, coupling_factor, switching_bits
+from repro.noc.flit import Flit, Packet
 from repro.noc.router import PORTS, Port, Router, is_turn
 from repro.util.events import EventLedger
 
@@ -50,18 +52,19 @@ def _mesh_tables(width: int, height: int) -> tuple[tuple, tuple]:
 
     ``routes[tile][dest]`` is the output port a head flit bound for
     ``dest`` takes at ``tile`` (:meth:`Router.route_port`, X then Y).
-    ``links[tile][port]`` is the ``(neighbour, input port)`` an output
-    port feeds, or ``None`` for the local port and the mesh edge.
+    ``links[tile][port]`` is the ``(neighbour, input port, (tile,
+    neighbour))`` an output port feeds, the last being the link's key,
+    or ``None`` for the local port and the mesh edge.
     """
     tiles = [Router(t, t % width, t // width) for t in range(width * height)]
 
-    def link(router: Router, port: Port) -> tuple[int, Port] | None:
+    def link(router: Router, port: Port) -> tuple | None:
         if port is Port.LOCAL:
             return None
         dx, dy, reverse = _STEPS[port]
         x, y = router.x + dx, router.y + dy
         if 0 <= x < width and 0 <= y < height:
-            return y * width + x, reverse
+            return y * width + x, reverse, (router.tile_id, y * width + x)
         return None
 
     routes = tuple(
@@ -87,11 +90,8 @@ class MeshNetwork:
         self.config = config or PitonConfig()
         self.ledger = ledger if ledger is not None else EventLedger()
         self.network_id = network_id
-        width = self.config.mesh_width
-        self.routers = [
-            Router(t, t % width, t // width)
-            for t in range(self.config.tile_count)
-        ]
+        # Each tile's router, ``None`` until a flit first reaches it.
+        self._routers: list[Router | None] = [None] * self.config.tile_count
         self._routes, self._links = _mesh_tables(
             self.config.mesh_width, self.config.mesh_height
         )
@@ -102,10 +102,8 @@ class MeshNetwork:
         # exact per-link flit counts for traffic analysis.
         self._link_last: dict[tuple[int, int], int] = {}
         self.link_counts: dict[tuple[int, int], int] = {}
-        # Flits waiting at each tile's injection port.
-        self._inject_queues: dict[int, deque[Flit]] = {
-            t: deque() for t in range(self.config.tile_count)
-        }
+        # Flits waiting at the injection port of each tile that injected.
+        self._inject_queues: dict[int, deque[Flit]] = {}
         # Tiles whose injection queue, and routers whose input queues,
         # may hold flits: supersets of the occupied ones (emptied
         # entries are dropped lazily), so a fault that edits a queue
@@ -128,13 +126,29 @@ class MeshNetwork:
         #: the step loop check-free.
         self.checker = None
 
+    @property
+    def routers(self) -> list[Router]:
+        """Every tile's router, in tile order; builds those no flit has
+        reached, which are in their initial state."""
+        for tile, router in enumerate(self._routers):
+            if router is None:
+                self._build(tile)
+        return self._routers
+
+    def _build(self, tile: int) -> Router:
+        width = self.config.mesh_width
+        self._routers[tile] = Router(tile, tile % width, tile // width)
+        return self._routers[tile]
+
     # ------------------------------------------------------------- injection
     def inject(self, packet: Packet, at_tile: int) -> None:
         """Queue a packet for injection at ``at_tile``'s local port."""
+        if not 0 <= at_tile < len(self._routers):
+            raise ValueError(f"no tile {at_tile} in the mesh")
         packet.injected_at = self.now
         if packet.flits:
             self._awaiting[id(packet.flits[-1])] = packet
-        self._inject_queues[at_tile].extend(packet.flits)
+        self._inject_queues.setdefault(at_tile, deque()).extend(packet.flits)
         self._injecting.add(at_tile)
         self.flits_injected += len(packet.flits)
 
@@ -145,7 +159,7 @@ class MeshNetwork:
         buffered = sum(
             len(port.queue)
             for tile in self._busy
-            for port in self.routers[tile].inputs.values()
+            for port in self._routers[tile].inputs.values()
         )
         partial = sum(len(f) for f in self._eject_partial.values())
         return queued + buffered + partial
@@ -154,7 +168,8 @@ class MeshNetwork:
     def step(self) -> None:
         """Advance one cycle."""
         if self._injecting or self._busy:
-            self._feed_injection()
+            if self._injecting:
+                self._feed_injection()
             self._apply(self._arbitrate())
         self.now += 1
         if self.checker is not None and self.now % self.CHECK_INTERVAL == 0:
@@ -184,9 +199,10 @@ class MeshNetwork:
     def _feed_injection(self) -> None:
         for tile in sorted(self._injecting):
             queue = self._inject_queues[tile]
-            router = self.routers[tile]
-            while queue and router.can_accept(Port.LOCAL):
-                router.enqueue(Port.LOCAL, queue.popleft())
+            router = self._routers[tile] or self._build(tile)
+            local = router.inputs[0].queue  # Port.LOCAL
+            while queue and len(local) < Router.INPUT_QUEUE_DEPTH:
+                local.append(queue.popleft())
             self._busy.add(tile)
             if not queue:
                 self._injecting.discard(tile)
@@ -201,7 +217,7 @@ class MeshNetwork:
         """
         moves: list[tuple[int, Port, Port]] = []
         for tile in sorted(self._busy):
-            router = self.routers[tile]
+            router = self._routers[tile]
             routes = self._routes[tile]
             held = False
             requested = 0
@@ -222,84 +238,98 @@ class MeshNetwork:
         return moves
 
     def _grant(self, router: Router, out_port: Port) -> Port | None:
-        locked_in = router.output_locked_by[out_port]
-        if locked_in is not None:
-            candidate = router.inputs[locked_in]
-            if not candidate.queue:
-                return None
-            if candidate.stall_until > self.now:
-                return None
-            if self._downstream_full(router.tile_id, out_port):
-                return None
-            return locked_in
-        # Round-robin among inputs whose head flit routes to out_port.
-        routes = self._routes[router.tile_id]
-        for index, in_port in _RR_SCAN[router.rr_pointer[out_port]]:
+        """The input ``out_port`` moves a flit from this cycle, if any,
+        once the downstream input has a free slot (the credit check)."""
+        now = self.now
+        index = None  # the round-robin pick's scan index, when unlocked
+        in_port = router.output_locked_by[out_port]
+        if in_port is not None:
             ip = router.inputs[in_port]
-            if ip.locked_output is not None or not ip.queue:
-                continue
-            head = ip.queue[0]
-            if not head.is_head or routes[head.dest] != out_port:
-                continue
-            if ip.stall_until > self.now:
-                continue
-            if is_turn(in_port, out_port) and ip.stall_until < self.now:
-                # First grant of a turning packet burns the turn cycle.
-                ip.stall_until = self.now + 1
-                router.rr_pointer[out_port] = index
+            if not ip.queue or ip.stall_until > now:
                 return None
-            if self._downstream_full(router.tile_id, out_port):
+        else:
+            routes = self._routes[router.tile_id]
+            for index, in_port in _RR_SCAN[router.rr_pointer[out_port]]:
+                ip = router.inputs[in_port]
+                if ip.locked_output is not None or not ip.queue:
+                    continue
+                head = ip.queue[0]
+                if not head.is_head or routes[head.dest] != out_port:
+                    continue
+                if ip.stall_until > now:
+                    continue
+                if is_turn(in_port, out_port) and ip.stall_until < now:
+                    # First grant of a turning packet burns the turn cycle.
+                    ip.stall_until = now + 1
+                    router.rr_pointer[out_port] = index
+                    return None
+                break
+            else:
                 return None
+        link = self._links[router.tile_id][out_port]
+        if link is not None:  # the local port ejects without credits
+            downstream = self._routers[link[0]]
+            queue = downstream.inputs[link[1]].queue if downstream else ()
+            if len(queue) >= Router.INPUT_QUEUE_DEPTH:
+                return None
+        if index is not None:
             # Lock the wormhole path.
             ip.locked_output = out_port
             router.output_locked_by[out_port] = in_port
             router.rr_pointer[out_port] = (index + 1) % len(PORTS)
-            return in_port
-        return None
-
-    def _downstream_full(self, tile: int, out_port: Port) -> bool:
-        link = self._links[tile][out_port]
-        if link is None:  # the local port ejects without credits
-            return False
-        neighbor, in_port = link
-        return not self.routers[neighbor].can_accept(in_port)
+        return in_port
 
     def _apply(self, moves: list[tuple[int, Port, Port]]) -> None:
         """Move each granted flit one hop, pricing it as
-        ``EventLedger.record`` would (one event, activity in [0, 1])."""
+        ``EventLedger.record`` would, with ``switching_bits``'s and
+        ``coupling_factor``'s arithmetic on the link's last and current
+        words, summed on locals and written back once."""
         if not moves:
             return
         self.last_progress = self.now
+        routers, links = self._routers, self._links
+        link_last, link_counts = self._link_last, self.link_counts
         counts, weights = self.ledger.counts, self.ledger.weights
         router_pass, flit_hop = self._router_pass, self._flit_hop
         coupling = self._coupling
+        pass_w = weights.get(router_pass, 0.0)
+        hop_w = weights.get(flit_hop, 0.0)
+        pair_w = weights.get(coupling, 0.0)
+        hops = 0
         for tile, in_port, out_port in moves:
-            router = self.routers[tile]
+            router = routers[tile]
             ip = router.inputs[in_port]
             flit = ip.queue.popleft()
             payload = flit.payload
             router.flits_routed += 1
-            counts[router_pass] += 1.0
-            weights[router_pass] += payload.bit_count() / 64.0
+            pass_w += payload.bit_count() / 64.0
             if flit.is_tail:
                 ip.locked_output = None
                 router.output_locked_by[out_port] = None
-            link = self._links[tile][out_port]
+            link = links[tile][out_port]
             if link is None:
                 self._eject(tile, flit)
                 continue
-            neighbor, neighbor_in = link
-            key = (tile, neighbor)
-            prev = self._link_last.get(key, 0)
-            counts[flit_hop] += 1.0
-            weights[flit_hop] += switching_bits(prev, payload) / 64.0
-            counts[coupling] += 1.0
-            weights[coupling] += coupling_factor(prev, payload)
-            self._link_last[key] = payload
-            self.link_counts[key] = self.link_counts.get(key, 0) + 1
-            self.total_flit_hops += 1
-            self.routers[neighbor].enqueue(neighbor_in, flit)
-            self._busy.add(neighbor)
+            neighbour, neighbour_in, key = link
+            prev = link_last.get(key, 0)
+            rise, fall = ~prev & payload, prev & ~payload
+            opposite = (rise & (fall >> 1)) | (fall & (rise >> 1))
+            hop_w += (prev ^ payload).bit_count() / 64.0
+            pair_w += opposite.bit_count() / 63.0
+            link_last[key] = payload
+            link_counts[key] = link_counts.get(key, 0) + 1
+            hops += 1
+            downstream = routers[neighbour] or self._build(neighbour)
+            downstream.inputs[neighbour_in].queue.append(flit)
+            self._busy.add(neighbour)
+        counts[router_pass] += len(moves)
+        weights[router_pass] = pass_w
+        if hops:
+            counts[flit_hop] += hops
+            weights[flit_hop] = hop_w
+            counts[coupling] += hops
+            weights[coupling] = pair_w
+            self.total_flit_hops += hops
 
     def _eject(self, tile: int, flit: Flit) -> None:
         partial = self._eject_partial.setdefault(tile, [])

@@ -52,7 +52,8 @@ class InputPort:
 
 
 class Router:
-    """One mesh router's state. The mesh drives arbitration."""
+    """One mesh router's state. The mesh drives arbitration and the
+    credit check (at most ``INPUT_QUEUE_DEPTH`` flits an input)."""
 
     INPUT_QUEUE_DEPTH = 4
 
@@ -76,13 +77,3 @@ class Router:
         if dest_y < self.y:
             return Port.NORTH
         return Port.LOCAL
-
-    def can_accept(self, port: Port) -> bool:
-        return len(self.inputs[port].queue) < self.INPUT_QUEUE_DEPTH
-
-    def enqueue(self, port: Port, flit: Flit) -> None:
-        if not self.can_accept(port):
-            raise OverflowError(
-                f"router {self.tile_id} input {port.name} overflow"
-            )
-        self.inputs[port].queue.append(flit)

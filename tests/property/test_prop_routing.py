@@ -2,10 +2,11 @@
 
 The lockstep test at the end runs the mesh beside a test-local
 reference that arbitrates exhaustively: every busy router calls
-``_grant`` for all five outputs, and every hop is priced through
-``EventLedger.record``. The mesh, which arbitrates only requested
-outputs, must make the same moves and keep the same state after every
-cycle.
+``_grant`` for all five outputs, every hop is priced through
+``EventLedger.record``, and a flit's next router comes from tile
+coordinates. The mesh, which arbitrates only requested outputs and
+prices hops inline, must make the same moves and keep the same state
+after every cycle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.arch.floorplan import Floorplan
 from repro.arch.params import PitonConfig
 from repro.noc.flit import Packet, coupling_factor, switching_bits
 from repro.noc.mesh import MeshNetwork
-from repro.noc.router import PORTS, Port
+from repro.noc.router import PORTS, Port, Router
 
 FP = Floorplan()
 TILES = st.integers(0, 24)
@@ -154,9 +155,19 @@ class _MaskedMesh(MeshNetwork):
         return self.moves
 
 
+#: Output port -> (dx, dy, input port the flit arrives on downstream).
+_STEPS = {
+    Port.NORTH: (0, -1, Port.SOUTH),
+    Port.EAST: (1, 0, Port.WEST),
+    Port.SOUTH: (0, 1, Port.NORTH),
+    Port.WEST: (-1, 0, Port.EAST),
+}
+
+
 class _ExhaustiveMesh(MeshNetwork):
     """Reference: ``_grant`` for all five outputs of every busy router,
-    and each hop priced through ``EventLedger.record``."""
+    each hop priced through ``EventLedger.record``, and each hop's
+    downstream input found from tile coordinates."""
 
     def _arbitrate(self):
         moves = []
@@ -189,7 +200,9 @@ class _ExhaustiveMesh(MeshNetwork):
             if out_port == Port.LOCAL:
                 self._eject(tile, flit)
                 continue
-            neighbor, neighbor_in = self._links[tile][out_port]
+            dx, dy, neighbor_in = _STEPS[out_port]
+            width = self.config.mesh_width
+            neighbor = (router.y + dy) * width + router.x + dx
             key = (tile, neighbor)
             prev = self._link_last.get(key, 0)
             toggled = switching_bits(prev, flit.payload)
@@ -199,7 +212,10 @@ class _ExhaustiveMesh(MeshNetwork):
             self._link_last[key] = flit.payload
             self.link_counts[key] = self.link_counts.get(key, 0) + 1
             self.total_flit_hops += 1
-            self.routers[neighbor].enqueue(neighbor_in, flit)
+            queue = self.routers[neighbor].inputs[neighbor_in].queue
+            if len(queue) >= Router.INPUT_QUEUE_DEPTH:
+                raise OverflowError(f"router {neighbor} {neighbor_in!r}")
+            queue.append(flit)
             self._busy.add(neighbor)
 
 

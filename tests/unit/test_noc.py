@@ -34,6 +34,20 @@ class TestFlit:
     def test_payload_bounds(self):
         with pytest.raises(ValueError):
             Flit(payload=1 << 64)
+        with pytest.raises(ValueError):
+            Flit(payload=-1)
+
+    def test_equal_and_hashed_by_value(self):
+        head = Flit(payload=7, is_head=True, dest=3)
+        twin = Flit(7, True, False, 3)
+        assert head == twin and head is not twin
+        assert hash(head) == hash(twin)
+        assert len({head, twin, Flit(7, True, True, 3)}) == 2
+        assert head != Flit(payload=7, is_head=True, dest=4)
+        assert head != (7, True, False, 3)
+        assert repr(head) == (
+            "Flit(payload=7, is_head=True, is_tail=False, dest=3)"
+        )
 
     def test_packet_build(self):
         p = Packet.build(dest=7, payloads=[1, 2, 3])
@@ -82,13 +96,26 @@ class TestRouterRouting:
         assert not is_turn(Port.LOCAL, Port.EAST)
 
     def test_queue_capacity(self):
-        r = Router(0, 0, 0)
-        flit = Flit(payload=0, is_head=True, is_tail=True, dest=1)
-        for _ in range(Router.INPUT_QUEUE_DEPTH):
-            r.enqueue(Port.LOCAL, flit)
-        assert not r.can_accept(Port.LOCAL)
-        with pytest.raises(OverflowError):
-            r.enqueue(Port.LOCAL, flit)
+        """The mesh's credit check: a downstream input holding
+        ``INPUT_QUEUE_DEPTH`` flits gets no flit that cycle."""
+        mesh = MeshNetwork()
+        mesh.inject(Packet.build(2, list(range(1, 11))), 0)  # 11 flits
+        mesh.run(2)  # the head is through router 1
+        wedged = mesh.routers[1]
+        for ip in wedged.inputs.values():
+            ip.stall_until = 1 << 30
+        west = wedged.inputs[Port.WEST].queue
+        upstream = mesh.routers[0]
+        full_cycles = 0
+        for _ in range(12):
+            full = len(west) == Router.INPUT_QUEUE_DEPTH
+            routed = upstream.flits_routed
+            mesh.step()
+            assert len(west) <= Router.INPUT_QUEUE_DEPTH
+            if full:
+                full_cycles += 1
+                assert upstream.flits_routed == routed
+        assert full_cycles >= 8
 
 
 class TestMeshNetwork:
@@ -226,6 +253,75 @@ class TestMeshNetwork:
         with pytest.raises(RuntimeError, match="failed to drain"):
             mesh.drain(max_cycles=1_000)
         assert mesh.now == 4 + 1_000
+
+
+class TestMeshConstruction:
+    """A router is built when a flit first reaches its tile; reading
+    ``mesh.routers`` builds the rest."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Tile of every ``Router`` built, in order."""
+        MeshNetwork()  # the shape's route tables build their own once
+        tiles = []
+        init = Router.__init__
+
+        def counted(router, tile_id, x, y):
+            tiles.append(tile_id)
+            init(router, tile_id, x, y)
+
+        monkeypatch.setattr(Router, "__init__", counted)
+        return tiles
+
+    def test_fresh_mesh_builds_no_router(self, built):
+        mesh = MeshNetwork()
+        mesh.run(10)
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "hops, route",
+        [(0, [0]), (8, [0, 1, 2, 3, 4, 9, 14, 19, 24])],
+    )
+    def test_stream_builds_the_routers_on_its_route(
+        self, built, hops, route
+    ):
+        run = run_noc_stream("FSW", hops, packets=2)
+        assert run.dest_tile == route[-1]
+        assert built == route  # X then Y, each once
+
+    @staticmethod
+    def _state(router):
+        return (
+            router.tile_id, router.x, router.y, router.flits_routed,
+            router.output_locked_by, router.rr_pointer,
+            [
+                (ip.locked_output, ip.stall_until, list(ip.queue))
+                for ip in router.inputs.values()
+            ],
+        )
+
+    def test_reading_routers_builds_every_tile_like_a_fresh_mesh(self):
+        fresh = [self._state(r) for r in MeshNetwork().routers]
+        assert fresh == [
+            (t, t % 5, t // 5, 0, dict.fromkeys(Port), dict.fromkeys(Port, 0),
+             [(None, -1, [])] * 5)
+            for t in range(25)
+        ]
+        mesh = MeshNetwork()
+        mesh.inject(Packet.build(24, [1, 2]), 0)
+        mesh.drain()
+        route = {0, 1, 2, 3, 4, 9, 14, 19, 24}
+        assert len(mesh.routers) == 25
+        for tile, router in enumerate(mesh.routers):
+            if tile not in route:
+                assert self._state(router) == fresh[tile]
+                continue
+            assert router.flits_routed == 3
+            assert router.output_locked_by == fresh[tile][4]
+            assert all(
+                ip.locked_output is None and not ip.queue
+                for ip in router.inputs.values()
+            )
 
 
 class TestMeshIdleWork:
